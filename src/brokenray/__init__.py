@@ -70,13 +70,9 @@ from .transforms import (
     RadonOperator,
     Sinogram,
     SinogramLayout,
-    broken_ray_adjoint,
-    broken_ray_forward,
     image_inner,
     image_norm,
     lambda_filter,
-    parallel_adjoint,
-    parallel_forward,
     radon,
     radon_adjoint,
     sino_inner,

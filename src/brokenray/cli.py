@@ -165,6 +165,8 @@ class ExperimentConfig:
         method = self.get("reconstruct", "method", "fbp")
         if method not in ("fbp", "landweber"):
             raise ConfigError(f"unknown reconstruction method {method!r}")
+        if method == "landweber" and self.getint("reconstruct", "iterations", 100) < 1:
+            raise ConfigError("landweber needs iterations >= 1")
 
     def image_layout(self) -> GridImage:
         return GridImage.zeros(
@@ -283,8 +285,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     op = cfg.operator()
     f = cfg.rendered_phantom()
     t0 = time.time()
-    if isinstance(op, BrokenRayOperator):
-        op.check_support_of(f)
+    op.check_support_of(f)
     g = op.forward(f)
     brio.save_image(out / "phantom.txt", f)
     brio.save_pgm(out / "phantom.pgm", f)
@@ -307,8 +308,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(args, cfg)
     op = cfg.operator()
     f_true = cfg.rendered_phantom()
-    if isinstance(op, BrokenRayOperator):
-        op.check_support_of(f_true)
+    op.check_support_of(f_true)
     g = op.forward(f_true)
     manifest = _base_manifest(cfg, args)
     method = cfg.get("reconstruct", "method", "fbp")
@@ -340,10 +340,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
         for k, snap in result.snapshots:
             brio.save_image(out / f"iterate_k{k:04d}.txt", snap)
         # the first backprojection step doubles as the f^(1) diagnostic
-        first = landweber(g, op, LandweberConfig(step_size=result.gamma, n_iters=1,
-                                                 support_mask=mask))
-        brio.save_image(out / "backprojection_f1.txt", first.final)
-        brio.save_pgm(out / "backprojection_f1.pgm", first.final)
+        brio.save_image(out / "backprojection_f1.txt", result.first)
+        brio.save_pgm(out / "backprojection_f1.pgm", result.first)
     err = error_map(f_true, rec)
     e = relative_error(f_true, rec)
     manifest["relative_error"] = f"{e:.8g}"

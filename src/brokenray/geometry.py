@@ -40,6 +40,9 @@ GRAZING_COS = 0.05
 # A hit must lie strictly ahead of the source point by at least this length.
 AHEAD_EPS = 1e-9
 
+# 4-point Gauss-Legendre rule for the partial arc-length cells
+GAUSS4_NODES, GAUSS4_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
 
 def direction(alpha: float) -> np.ndarray:
     """Unit direction v(alpha) = (cos a, sin a)."""
@@ -275,9 +278,8 @@ class Ellipse(Boundary):
         h = theta - th_i
         base = float(cum[i])
         if h > 0:
-            nodes, weights = np.polynomial.legendre.leggauss(4)
-            pts = th_i + (nodes + 1.0) * (h / 2.0)
-            base += float((self._speed(pts) @ weights) * (h / 2.0))
+            pts = th_i + (GAUSS4_NODES + 1.0) * (h / 2.0)
+            base += float((self._speed(pts) @ GAUSS4_WEIGHTS) * (h / 2.0))
         return base + turns * float(cum[-1])
 
     def theta_of_tau(self, tau: float) -> float:
@@ -464,10 +466,9 @@ class SampledCurve(Boundary):
         h = u - u_i
         base = float(self._cum[i])
         if h > 0:
-            nodes, weights = np.polynomial.legendre.leggauss(4)
-            pts = u_i + (nodes + 1.0) * (h / 2.0)
+            pts = u_i + (GAUSS4_NODES + 1.0) * (h / 2.0)
             sp = np.hypot(*self._dspline(pts % 1.0).T)
-            base += float((sp @ weights) * (h / 2.0))
+            base += float((sp @ GAUSS4_WEIGHTS) * (h / 2.0))
         return base + turns * self._length
 
     def frame(self, tau: float) -> Frame:

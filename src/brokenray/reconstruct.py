@@ -49,6 +49,7 @@ class LandweberResult:
     residuals: list
     gamma: float
     snapshots: list = field(default_factory=list)  # (iteration, GridImage)
+    first: GridImage | None = None  # f^(1), the first backprojection step
 
     @property
     def n_iters(self) -> int:
@@ -86,6 +87,7 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
     f = op.img_layout.layout_like()
     residuals = []
     snapshots = []
+    first = None
     grow_streak = 0
     for k in range(cfg.n_iters):
         r = g.copy_with(g.filled() - op.forward(f).filled())
@@ -105,9 +107,12 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
         if cfg.support_mask is not None:
             new = new * cfg.support_mask
         f = f.copy_with(new)
+        if first is None:
+            first = f
         if cfg.record_every and (k + 1) % cfg.record_every == 0:
             snapshots.append((k + 1, f.copy_with(f.data.copy())))
-    return LandweberResult(final=f, residuals=residuals, gamma=gamma, snapshots=snapshots)
+    return LandweberResult(final=f, residuals=residuals, gamma=gamma, snapshots=snapshots,
+                           first=first)
 
 
 def relative_error(f_true: GridImage, f_rec: GridImage) -> float:

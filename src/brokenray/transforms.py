@@ -11,12 +11,14 @@ Adjoints scatter through the identical stencils, scaled by
 ``ds * dalpha / dx^2``, so the weighted pairing
 ``<A f, g> ds dalpha = <f, A* g> dx^2`` holds to rounding error.
 
-The broken-ray transform on a reflecting boundary is
-``B f (s, a) = R f (s, a) + R f (chi(s, a))`` with the reflected-leg value
-interpolated bilinearly (periodically in alpha) from the dense Radon
-sinogram; rays outside the tomography family or too close to grazing are
-masked with NaN and excluded from inner products.  The two-offset parallel
-transform is ``P f (s, a) = R f (s, a) + R f (s + d, a)``.
+Every operator here has one shape, ``A f = R f + (R f) o chi`` for a map
+chi of line space, with the second term interpolated bilinearly from the
+dense Radon sinogram (periodically in alpha, zero beyond +-s_max).  The
+broken-ray transform on a reflecting boundary takes chi = the reflection
+and masks with NaN the rays outside the tomography family or too close to
+grazing; masked bins are excluded from inner products.  The two-offset
+parallel transform takes chi(s, a) = (s + d, a).  The plain Radon
+transform has no chi.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportViolation
+from .errors import BrokenRayError, SupportViolation
 from .geometry import (
     GRAZING_COS,
     TWO_PI,
@@ -270,31 +272,22 @@ def radon_adjoint(g: Sinogram, img_layout: GridImage, h: float | None = None) ->
     return img_layout.copy_with(inner * scale)
 
 
-def lambda_filter(
-    g: Sinogram,
-    power: float = 1.0,
-    pad_factor: int = 2,
-    taper: bool = False,
-) -> Sinogram:
+def lambda_filter(g: Sinogram, power: float = 1.0) -> Sinogram:
     """Apply (|sigma| / 4 pi)^power as a Fourier multiplier along each
-    angle row, with zero padding.
+    angle row, with zero padding to twice the row length.
 
     power=1 is the full derivative-type filter used for filtered
     backprojection; power=1/2 is its self-adjoint square root.  Masked
-    input bins are treated as zero; the output is fully finite.  The
-    optional cosine taper rolls the multiplier off at the Nyquist end for
-    noisy data.
+    input bins are treated as zero; the output is fully finite.
     """
     lay = g.layout
-    n_pad = pad_factor * lay.n_s
+    n_pad = 2 * lay.n_s
     rows = g.filled()
     buf = np.zeros((lay.n_alpha, n_pad))
     buf[:, : lay.n_s] = rows
     freqs = np.fft.rfftfreq(n_pad, d=lay.ds)
     sigma = TWO_PI * freqs
     mult = (LAMBDA_SCALE * sigma) ** power
-    if taper:
-        mult = mult * np.cos(0.5 * math.pi * freqs / freqs[-1]) ** 2
     spec = np.fft.rfft(buf, axis=1) * mult[None, :]
     filtered = np.fft.irfft(spec, n=n_pad, axis=1)[:, : lay.n_s]
     return g.copy_with(filtered)
@@ -339,165 +332,114 @@ class Family:
             alpha_window=(line.alpha, dalpha),
         )
 
-    def admits(self, s: float, alpha: float, sin_beta: float, tau0: float, length: float) -> bool:
-        if self.forward_tangent and sin_beta <= 0.0:
-            return False
+    def admits(self, s, alpha, sin_beta, tau0, length: float) -> np.ndarray:
+        """Which rays the family keeps; the arrays broadcast elementwise."""
+        keep = np.ones(np.broadcast(s, alpha, sin_beta, tau0).shape, dtype=bool)
+        if self.forward_tangent:
+            keep &= sin_beta > 0.0
         if self.half_plane is not None:
-            if math.cos(alpha - self.half_plane) <= 0.0:
-                return False
+            keep &= np.cos(alpha - self.half_plane) > 0.0
         if self.arc is not None:
-            lo, hi = self.arc
+            lo, hi = self.arc[0] % length, self.arc[1] % length
             t = tau0 % length
-            lo, hi = lo % length, hi % length
-            inside = lo <= t <= hi if lo <= hi else (t >= lo or t <= hi)
-            if not inside:
-                return False
+            keep &= ((lo <= t) & (t <= hi)) if lo <= hi else ((t >= lo) | (t <= hi))
         if self.s_window is not None:
-            if not (self.s_window[0] <= s <= self.s_window[1]):
-                return False
+            keep &= (self.s_window[0] <= s) & (s <= self.s_window[1])
         if self.alpha_window is not None:
             c, hw = self.alpha_window
-            d = abs((alpha - c + math.pi) % TWO_PI - math.pi)
-            if d > hw:
-                return False
-        return True
+            keep &= np.abs((alpha - c + math.pi) % TWO_PI - math.pi) <= hw
+        return keep
 
 
 def _reflection_table(boundary: Boundary, family: Family, layout: SinogramLayout):
-    """Per-bin reflection data: admissible mask and chi(s, alpha).
+    """Per-bin reflection data: admissible mask and chi(s, alpha) = (s2, a2).
 
     The circle gets the closed form (s is conserved, sin beta = s/R);
-    other boundaries go through the generic reflection.
+    other boundaries reflect each bin through the generic reflection.
     """
     s = layout.s_centers
     alphas = layout.alphas
-    mask = np.zeros((layout.n_alpha, layout.n_s), dtype=bool)
-    s2 = np.zeros_like(mask, dtype=float)
-    a2 = np.zeros_like(mask, dtype=float)
+    shape = (layout.n_alpha, layout.n_s)
     if isinstance(boundary, Circle):
         R = boundary.radius
+        length = TWO_PI * R
         sin_b = np.clip(s / R, -1.0, 1.0)
         cos_b = np.sqrt(np.maximum(1.0 - sin_b**2, 0.0))
-        ok_s = (np.abs(s) < R) & (cos_b >= GRAZING_COS)
-        beta = np.arcsin(sin_b)
+        ok = (np.abs(s) < R) & (cos_b >= GRAZING_COS)
+        s2 = np.broadcast_to(s, shape)
+        a2 = alphas[:, None] + 2.0 * np.arcsin(sin_b) + math.pi
+        # vertex = exit point of the chord, at t = R cos beta
+        cos_a, sin_a = np.cos(alphas)[:, None], np.sin(alphas)[:, None]
+        t_exit = R * cos_b
+        vx = s * -sin_a + t_exit * cos_a
+        vy = s * cos_a + t_exit * sin_a
+        tau0 = (R * np.arctan2(-vy, vx)) % length
+    else:
+        length = boundary.length
+        ok = np.zeros(shape, dtype=bool)
+        s2, a2, sin_b, tau0 = (np.zeros(shape) for _ in range(4))
         for m, alpha in enumerate(alphas):
-            # vertex = exit point of the chord
-            t_exit = R * cos_b
-            v = direction(alpha)
-            w = normal(alpha)
-            vx = s * w[0] + t_exit * v[0]
-            vy = s * w[1] + t_exit * v[1]
-            tau0 = (R * np.arctan2(-vy, vx)) % (TWO_PI * R)
             for k in range(layout.n_s):
-                if not ok_s[k]:
+                line = LineCoords(float(s[k]), float(alpha))
+                anchor = line.point_at(-4.0 * layout.s_max)
+                try:
+                    event = reflect(boundary, line, anchor)
+                except BrokenRayError:
                     continue
-                if not family.admits(s[k], alpha, sin_b[k], tau0[k], TWO_PI * R):
-                    continue
-                mask[m, k] = True
-                s2[m, k] = s[k]
-                a2[m, k] = alpha + 2.0 * beta[k] + math.pi
-        return mask, s2, a2
-    for m, alpha in enumerate(alphas):
-        for k in range(layout.n_s):
-            line = LineCoords(float(s[k]), float(alpha))
-            anchor = line.point_at(-4.0 * layout.s_max)
-            try:
-                event = reflect(boundary, line, anchor)
-            except Exception:
-                continue
-            sin_b = math.sin(event.beta)
-            if not family.admits(s[k], alpha, sin_b, event.tau0, boundary.length):
-                continue
-            mask[m, k] = True
-            s2[m, k] = event.line_out.s
-            a2[m, k] = event.line_out.alpha
+                ok[m, k] = True
+                sin_b[m, k] = math.sin(event.beta)
+                tau0[m, k] = event.tau0
+                s2[m, k] = event.line_out.s
+                a2[m, k] = event.line_out.alpha
+    mask = ok & family.admits(s, alphas[:, None], sin_b, tau0, length)
     return mask, s2, a2
 
 
-def _sino_interp_stencil(layout: SinogramLayout, s2: np.ndarray, a2: np.ndarray):
-    """Bilinear stencil into the (alpha, s) grid, periodic in alpha.
-
-    Offsets beyond the sampled range get zero weight.  Returns flat target
-    indices and weights for the four corners of each query.
-    """
-    gs = (s2 + layout.s_max) / layout.ds - 0.5
-    ga = (a2 % TWO_PI) / layout.dalpha
-    is0 = np.floor(gs).astype(np.int64)
-    ia0 = np.floor(ga).astype(np.int64)
-    fs = gs - is0
-    fa = ga - ia0
+def _lerp(x: np.ndarray, n: int, periodic: bool = False):
+    """Linear interpolation on a grid of n samples at fractional sample
+    positions x: two (index, weight) pairs.  A periodic grid wraps the
+    index; otherwise positions beyond the grid read zero."""
+    i0 = np.floor(x).astype(np.int64)
+    frac = x - i0
     parts = []
-    for da, wa in ((0, 1.0 - fa), (1, fa)):
-        for ds_, ws in ((0, 1.0 - fs), (1, fs)):
-            ks = is0 + ds_
-            ka = (ia0 + da) % layout.n_alpha
-            valid = (ks >= 0) & (ks < layout.n_s)
-            w = wa * ws * valid
-            flat = ka * layout.n_s + np.clip(ks, 0, layout.n_s - 1)
-            parts.append((flat, w))
+    for i, w in ((i0, 1.0 - frac), (i0 + 1, frac)):
+        if periodic:
+            parts.append((i % n, w))
+        else:
+            parts.append((np.clip(i, 0, n - 1), w * ((i >= 0) & (i < n))))
     return parts
 
 
 class RadonOperator:
-    """Plain Radon transform bundled with its layouts."""
+    """The transform f -> R f + (R f) o chi on the admitted bins.
+
+    ``corners`` is the bilinear stencil of the line map chi: (row index,
+    column index, weight) triples into the sinogram, whose arrays broadcast
+    to its shape.  ``mask`` marks the admitted bins (None: all of them);
+    the rest read NaN.  With no corners and no mask this is the plain Radon
+    transform.  The adjoint scatters through the same corners, so the pair
+    passes dot-product tests to rounding.
+    """
 
     def __init__(self, img_layout: GridImage, sino_layout: SinogramLayout, h: float | None = None):
         self.img_layout = img_layout.layout_like()
         self.sino_layout = sino_layout
         self.h = h if h is not None else img_layout.dx / 2.0
-
-    def forward(self, f: GridImage) -> Sinogram:
-        return radon(f, self.sino_layout, self.h)
-
-    def adjoint(self, g: Sinogram) -> GridImage:
-        return radon_adjoint(g, self.img_layout, self.h)
-
-
-class BrokenRayOperator:
-    """V-line transform off a reflecting boundary, restricted to a family.
-
-    Forward: dense Radon sinogram, then per admissible bin the sum of the
-    direct value and the bilinearly resampled reflected-leg value;
-    inadmissible bins are NaN.  The adjoint scatters through the transposed
-    stencil, so the operator pair passes dot-product tests to rounding.
-    """
-
-    def __init__(
-        self,
-        boundary: Boundary,
-        family: Family,
-        img_layout: GridImage,
-        sino_layout: SinogramLayout,
-        h: float | None = None,
-        support_margin_px: float = 2.0,
-    ):
-        self.boundary = boundary
-        self.family = family
-        self.img_layout = img_layout.layout_like()
-        self.sino_layout = sino_layout
-        self.h = h if h is not None else img_layout.dx / 2.0
-        mask, s2, a2 = _reflection_table(boundary, family, sino_layout)
-        self.mask = mask
-        flat_adm = np.flatnonzero(mask.ravel())
-        self._adm = flat_adm
-        self._stencil = [
-            (idx[mask.ravel() != 0], w[mask.ravel() != 0])
-            for idx, w in _sino_interp_stencil(
-                sino_layout, s2.ravel(), a2.ravel()
-            )
-        ]
-        self._support_ok = _interior_support_mask(
-            boundary, self.img_layout, support_margin_px
-        )
+        self.mask = None
+        self.corners = []
+        self._support_ok = None  # pixels clear of the mirror; None: no mirror
 
     def check_support_of(self, f: GridImage) -> None:
-        """Raise SupportViolation unless f vanishes near the boundary.
+        """Raise SupportViolation unless f vanishes near the mirror.
 
         The full-line Radon values only equal the physical V-line chord
         integrals under this condition, so data generation must pass it;
         iteration internals apply the plain discrete operator and may skip
-        it (iterates legitimately leak into the margin).
+        it (iterates legitimately leak into the margin).  Without a mirror
+        every image passes.
         """
+        if self._support_ok is None:
+            return
         peak = float(np.max(np.abs(f.data)))
         if peak == 0.0:
             return
@@ -508,28 +450,52 @@ class BrokenRayOperator:
             )
 
     def forward(self, f: GridImage) -> Sinogram:
-        base = radon(f, self.sino_layout, self.h)
-        flat = base.data.ravel()
-        vals = flat[self._adm].copy()
-        for idx, w in self._stencil:
-            vals = vals + flat[idx] * w
-        out = np.full(flat.shape, np.nan)
-        out[self._adm] = vals
-        return Sinogram(out.reshape(base.data.shape), self.sino_layout.s_max)
+        g = radon(f, self.sino_layout, self.h)
+        data = g.data
+        for rows, cols, w in self.corners:
+            data = data + g.data[rows, cols] * w
+        if self.mask is not None:
+            data = np.where(self.mask, data, np.nan)
+        return g.copy_with(data)
 
     def adjoint(self, g: Sinogram) -> GridImage:
         lay = self.sino_layout
-        gv = g.filled().ravel()[self._adm]
-        acc = np.zeros(lay.n_alpha * lay.n_s)
-        np.add.at(acc, self._adm, gv)
-        for idx, w in self._stencil:
-            acc += np.bincount(idx, weights=gv * w, minlength=acc.size)
-        back = Sinogram(acc.reshape(lay.n_alpha, lay.n_s), lay.s_max)
+        vals = g.filled() if self.mask is None else np.where(self.mask, g.filled(), 0.0)
+        acc = vals.ravel()
+        for rows, cols, w in self.corners:
+            idx = (rows * lay.n_s + cols).ravel()
+            acc = acc + np.bincount(idx, weights=(vals * w).ravel(), minlength=acc.size)
+        back = Sinogram(acc.reshape(vals.shape), lay.s_max)
         return radon_adjoint(back, self.img_layout, self.h)
 
 
-class ParallelRayOperator:
-    """Two-offset parallel-ray transform P f = R f(s, a) + R f(s + d, a)."""
+class BrokenRayOperator(RadonOperator):
+    """V-line transform off a reflecting boundary, restricted to a family:
+    chi is the reflection, resampled bilinearly (periodically in alpha)."""
+
+    def __init__(
+        self,
+        boundary: Boundary,
+        family: Family,
+        img_layout: GridImage,
+        sino_layout: SinogramLayout,
+        h: float | None = None,
+        support_margin_px: float = 2.0,
+    ):
+        super().__init__(img_layout, sino_layout, h)
+        self.boundary = boundary
+        self.family = family
+        lay = sino_layout
+        self.mask, s2, a2 = _reflection_table(boundary, family, lay)
+        rows = _lerp((a2 % TWO_PI) / lay.dalpha, lay.n_alpha, periodic=True)
+        cols = _lerp((s2 + lay.s_max) / lay.ds - 0.5, lay.n_s)
+        self.corners = [(ra, ks, wa * ws) for ra, wa in rows for ks, ws in cols]
+        self._support_ok = _interior_support_mask(boundary, self.img_layout, support_margin_px)
+
+
+class ParallelRayOperator(RadonOperator):
+    """Two-offset parallel-ray transform P f = R f(s, a) + R f(s + d, a):
+    chi shifts s, so every angle row shares one pair of s-corners."""
 
     def __init__(
         self,
@@ -538,40 +504,12 @@ class ParallelRayOperator:
         sino_layout: SinogramLayout,
         h: float | None = None,
     ):
+        super().__init__(img_layout, sino_layout, h)
         self.offset = offset
-        self.img_layout = img_layout.layout_like()
-        self.sino_layout = sino_layout
-        self.h = h if h is not None else img_layout.dx / 2.0
         lay = sino_layout
-        gs = (lay.s_centers + offset + lay.s_max) / lay.ds - 0.5
-        k0 = np.floor(gs).astype(np.int64)
-        fs = gs - k0
-        self._shift_parts = []
-        for dk, wk in ((0, 1.0 - fs), (1, fs)):
-            kk = k0 + dk
-            valid = (kk >= 0) & (kk < lay.n_s)
-            self._shift_parts.append((np.clip(kk, 0, lay.n_s - 1), wk * valid))
-
-    def _shift(self, rows: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rows)
-        for kk, w in self._shift_parts:
-            out += rows[:, kk] * w[None, :]
-        return out
-
-    def _shift_adjoint(self, rows: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rows)
-        for kk, w in self._shift_parts:
-            np.add.at(out, (slice(None), kk), rows * w[None, :])
-        return out
-
-    def forward(self, f: GridImage) -> Sinogram:
-        base = radon(f, self.sino_layout, self.h)
-        return base.copy_with(base.data + self._shift(base.data))
-
-    def adjoint(self, g: Sinogram) -> GridImage:
-        rows = g.filled()
-        back = g.copy_with(rows + self._shift_adjoint(rows))
-        return radon_adjoint(back, self.img_layout, self.h)
+        rows = np.arange(lay.n_alpha)[:, None]
+        cols = _lerp((lay.s_centers + offset + lay.s_max) / lay.ds - 0.5, lay.n_s)
+        self.corners = [(rows, ks, w) for ks, w in cols]
 
 
 def _interior_support_mask(boundary: Boundary, img: GridImage, margin_px: float) -> np.ndarray:
@@ -617,37 +555,3 @@ def _points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
         hits = straddles & (x_cross > x[None, :])
         inside ^= (np.sum(hits, axis=0) % 2).astype(bool)
     return inside
-
-
-def broken_ray_forward(
-    f: GridImage,
-    boundary: Boundary,
-    family: Family,
-    sino_layout: SinogramLayout,
-    h: float | None = None,
-) -> Sinogram:
-    op = BrokenRayOperator(boundary, family, f, sino_layout, h)
-    op.check_support_of(f)
-    return op.forward(f)
-
-
-def broken_ray_adjoint(
-    g: Sinogram,
-    boundary: Boundary,
-    family: Family,
-    img_layout: GridImage,
-    h: float | None = None,
-) -> GridImage:
-    return BrokenRayOperator(boundary, family, img_layout, g.layout, h).adjoint(g)
-
-
-def parallel_forward(
-    f: GridImage, offset: float, sino_layout: SinogramLayout, h: float | None = None
-) -> Sinogram:
-    return ParallelRayOperator(offset, f, sino_layout, h).forward(f)
-
-
-def parallel_adjoint(
-    g: Sinogram, offset: float, img_layout: GridImage, h: float | None = None
-) -> GridImage:
-    return ParallelRayOperator(offset, img_layout, g.layout, h).adjoint(g)

@@ -192,6 +192,7 @@ def test_ac3_fbp_artifact_localization():
 
 # ------------------------------------------------------------------ AC-4
 
+@pytest.mark.slow
 def test_ac4_global_disk_landweber(disk128, radial_run):
     t0 = time.time()
     op, gamma = disk128
@@ -209,6 +210,7 @@ def test_ac4_global_disk_landweber(disk128, radial_run):
 
 # ------------------------------------------------------------------ AC-5
 
+@pytest.mark.slow
 def test_ac5_parallel_ray_reconstruction():
     t0 = time.time()
     n = 128
@@ -233,6 +235,7 @@ def test_ac5_parallel_ray_reconstruction():
 
 # ------------------------------------------------------------------ AC-6
 
+@pytest.mark.slow
 def test_ac6_local_data_cancellation():
     t0 = time.time()
     n = 128

@@ -7,6 +7,7 @@ import pytest
 
 from brokenray.cli import DEFAULT_CONFIG, ExperimentConfig, main
 from brokenray.errors import ConfigError
+from brokenray.geometry import GRAZING_COS
 from brokenray.io import (
     load_image,
     load_sinogram,
@@ -113,9 +114,13 @@ class TestConfig:
 
 
 class TestCommands:
-    def test_forward_smoke(self, tmp_path):
+    @pytest.mark.parametrize("s_max", [1.0, 1.25])
+    def test_forward_smoke(self, tmp_path, s_max):
+        # the full family admits every bin that meets the unit circle
+        # transversally: none are masked at s_max = 1, and at s_max = 1.25
+        # exactly the columns off the circle or below the grazing threshold
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(SMALL_CONFIG)
+        cfg_path.write_text(SMALL_CONFIG.replace("s_max = 1.0", f"s_max = {s_max}"))
         out = tmp_path / "out"
         rc = main(["forward", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
@@ -123,7 +128,13 @@ class TestCommands:
         assert np.nanmax(np.abs(g.data)) > 0
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["family"] == "full"
-        assert int(manifest["masked_bins"]) > 0
+        n_s, n_alpha = 48, 60
+        s = -s_max + (np.arange(n_s) + 0.5) * (2.0 * s_max / n_s)
+        cos_b = np.sqrt(np.maximum(1.0 - s**2, 0.0))
+        off = (np.abs(s) >= 1.0) | (cos_b < GRAZING_COS)
+        assert int(manifest["masked_bins"]) == n_alpha * int(np.sum(off))
+        if s_max == 1.0:
+            assert int(manifest["masked_bins"]) == 0
 
     def test_parallel_zero_offset_doubles_radon(self, tmp_path):
         base = SMALL_CONFIG.replace("kind = full", "kind = parallel\noffset = 0.0")
@@ -162,6 +173,41 @@ class TestCommands:
         assert manifest["method"] == "landweber"
         assert (out / "iterate_k0002.txt").exists()
         assert (out / "backprojection_f1.txt").exists()
+
+    def test_landweber_runs_once_per_reconstruct(self, tmp_path, monkeypatch):
+        # f^(1) comes from the main run and equals a separate 1-step run
+        from brokenray import cli
+        from brokenray.reconstruct import LandweberConfig, landweber
+
+        calls = []
+
+        def counted(g, op, lw_cfg):
+            result = landweber(g, op, lw_cfg)
+            calls.append((g, op, lw_cfg, result))
+            return result
+
+        monkeypatch.setattr(cli, "landweber", counted)
+        text = SMALL_CONFIG.replace("method = fbp", "method = landweber\niterations = 3")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        g, op, lw_cfg, result = calls[0]
+        one = landweber(g, op, LandweberConfig(step_size=result.gamma, n_iters=1,
+                                               support_mask=lw_cfg.support_mask))
+        save_image(tmp_path / "f1.txt", one.final)
+        assert (out / "backprojection_f1.txt").read_text() == (tmp_path / "f1.txt").read_text()
+
+    def test_zero_landweber_iterations_is_config_error(self, tmp_path, capsys):
+        text = SMALL_CONFIG.replace("method = fbp", "method = landweber\niterations = 0")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        rc = main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_predict_smoke(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
