@@ -45,7 +45,6 @@ from .geometry import (
     Parabola,
     ReflectionEvent,
     SampledCurve,
-    evaluate,
     intersect_ray,
     make_boundary,
     reflect,

@@ -39,12 +39,10 @@ from .geometry import Circle, LineCoords, make_boundary, normal
 from .phantoms import PhantomSpec, clip_to_boundary, render
 from .reconstruct import (
     LandweberConfig,
-    artifact_localization,
     error_map,
     fbp,
     landweber,
     relative_error,
-    step_size_estimate,
 )
 from .transforms import (
     BrokenRayOperator,
@@ -271,11 +269,10 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
-def _base_manifest(cfg, args) -> dict:
+def _base_manifest(cfg) -> dict:
     return {
         "experiment": cfg.name,
         "seed": cfg.seed,
-        "threads": args.threads,
         "config": cfg.path,
     }
 
@@ -290,7 +287,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     brio.save_image(out / "phantom.txt", f)
     brio.save_pgm(out / "phantom.pgm", f)
     brio.save_sinogram(out / "sinogram.txt", g)
-    manifest = _base_manifest(cfg, args)
+    manifest = _base_manifest(cfg)
     manifest.update(
         {
             "family": cfg.get("family", "kind", "full"),
@@ -310,7 +307,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     f_true = cfg.rendered_phantom()
     op.check_support_of(f_true)
     g = op.forward(f_true)
-    manifest = _base_manifest(cfg, args)
+    manifest = _base_manifest(cfg)
     method = cfg.get("reconstruct", "method", "fbp")
     t0 = time.time()
     if method == "fbp":
@@ -389,7 +386,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
         for r in radii:
             fh.write(f"{r.radius:.12g},{r.p},{r.q}\n")
     wrote.append("polygon_radii.csv")
-    brio.write_manifest(out / "manifest.txt", _base_manifest(cfg, args))
+    brio.write_manifest(out / "manifest.txt", _base_manifest(cfg))
     print(f"predict: wrote {', '.join(wrote)} in {out}")
     return 0
 
@@ -482,20 +479,8 @@ def example_config() -> str:
     return DEFAULT_CONFIG
 
 
-def _apply_thread_limit(n: int) -> None:
-    if n <= 0:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except Exception:
-        pass  # vectorized numpy code is single threaded anyway
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="brokenray", description=__doc__)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("forward", "reconstruct", "predict"):
@@ -507,7 +492,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.add_argument("--corrupt-adjoint", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    _apply_thread_limit(args.threads)
 
     if args.command == "selftest":
         return cmd_selftest(args)

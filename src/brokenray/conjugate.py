@@ -426,9 +426,10 @@ def _disk_exit(x, u, radius):
 def _walk_disk_chain(x0, xi0, u0, radius, max_index, sign, entries):
     """March conjugate covectors around the disk billiard in one direction.
 
-    Returns the ChainStatus for this direction and appends entries with
-    indices sign*1, sign*2, ...  All bounces share the incidence angle, so
-    grazing is decided once from the first chord.
+    Returns the ChainStatus for this direction and, unless ``entries`` is
+    None, appends entries with indices sign*1, sign*2, ...  All bounces
+    share the incidence angle, so grazing is decided once from the first
+    chord.
 
     Positions are reconstructed from the vertex sequence (a stable
     rotation) and the reciprocal recurrence 1/a_{i+1} = 1/a_i + 2; the raw
@@ -443,70 +444,53 @@ def _walk_disk_chain(x0, xi0, u0, radius, max_index, sign, entries):
     if cos_b < GRAZING_COS:
         return ChainStatus("truncated", 0), True
     half_chord = radius * cos_b
-
-    if entries is None:
-        # status only: the scalar reciprocal recurrence decides escape
-        t1 = _disk_exit(x, u, radius)
-        a = t1 / half_chord - 1.0
-        b = math.inf if a == 0.0 else 1.0 / a
-        for k in range(1, max_index + 1):
-            if 2.0 * a + 1.0 <= DEGENERATE_TOL:
-                return ChainStatus("incomplete", sign * k), False
-            b += 2.0
-            if abs(b) < DEGENERATE_TOL:
-                return ChainStatus("incomplete", sign * k), False
-            a = 0.0 if math.isinf(b) else 1.0 / b
-            if abs(a) >= 1.0 - 1e-12:
-                return ChainStatus("incomplete", sign * k), False
-        return ChainStatus("truncated", max_index), False
-
-    # The vertex sequence is a rigid rotation by a fixed central angle;
-    # generate it in closed form so the march stays exact.
     t1 = _disk_exit(x, u, radius)
-    v1 = x + t1 * u
-    n = v1 / radius
-    u2_first = u - 2.0 * float(np.dot(u, n)) * n
-    v2 = v1 + 2.0 * half_chord * u2_first
-    phi = math.atan2(v1[1], v1[0])
-    delta = math.remainder(math.atan2(v2[1], v2[0]) - phi, TWO_PI)
+
+    if entries is not None:
+        # The vertex sequence is a rigid rotation by a fixed central angle;
+        # generate it in closed form so the march stays exact.
+        v1 = x + t1 * u
+        n = v1 / radius
+        u2_first = u - 2.0 * float(np.dot(u, n)) * n
+        v2 = v1 + 2.0 * half_chord * u2_first
+        phi = math.atan2(v1[1], v1[0])
+        delta = math.remainder(math.atan2(v2[1], v2[0]) - phi, TWO_PI)
 
     a = t1 / half_chord - 1.0
     b = math.inf if a == 0.0 else 1.0 / a
     u_prev = u
     for k in range(1, max_index + 1):
         idx = sign * k
-        ang = phi + (k - 1) * delta
-        vk = radius * np.array([math.cos(ang), math.sin(ang)])
-        vk1 = radius * np.array([math.cos(ang + delta), math.sin(ang + delta)])
-        u2 = vk1 - vk
-        u2 = u2 / math.hypot(u2[0], u2[1])
         D = 2.0 * a + 1.0
         if D <= DEGENERATE_TOL:
             return ChainStatus("incomplete", idx), False
-        b2 = b + 2.0
-        if abs(b2) < DEGENERATE_TOL:
+        b += 2.0
+        if abs(b) < DEGENERATE_TOL:
             # conjugate point at infinity: the chain leaves the disk here
             return ChainStatus("incomplete", idx), False
-        a2 = 0.0 if math.isinf(b2) else 1.0 / b2
-        q = vk + half_chord * (1.0 - a2) * u2
-        lam2 = lam * D
-        xi2 = lam2 * rot90(u2)
-        line_in = LineCoords.through(x, math.atan2(u_prev[1], u_prev[0]))
-        line_out = LineCoords.through(vk, math.atan2(u2[1], u2[0]))
-        outside = abs(a2) >= 1.0 - 1e-12
-        entries.append(
-            ChainEntry(
-                index=idx,
-                covector=Covector(q, xi2),
-                line_in=line_in,
-                line_out=line_out,
-                a=a2,
-                outside_domain=outside,
+        a = 0.0 if math.isinf(b) else 1.0 / b
+        outside = abs(a) >= 1.0 - 1e-12
+        if entries is not None:
+            ang = phi + (k - 1) * delta
+            vk = radius * np.array([math.cos(ang), math.sin(ang)])
+            vk1 = radius * np.array([math.cos(ang + delta), math.sin(ang + delta)])
+            u2 = vk1 - vk
+            u2 = u2 / math.hypot(u2[0], u2[1])
+            q = vk + half_chord * (1.0 - a) * u2
+            lam *= D
+            entries.append(
+                ChainEntry(
+                    index=idx,
+                    covector=Covector(q, lam * rot90(u2)),
+                    line_in=LineCoords.through(x, math.atan2(u_prev[1], u_prev[0])),
+                    line_out=LineCoords.through(vk, math.atan2(u2[1], u2[0])),
+                    a=a,
+                    outside_domain=outside,
+                )
             )
-        )
+            x, u_prev = q, u2
         if outside:
             return ChainStatus("incomplete", idx), False
-        x, u_prev, lam, a, b = q, u2, lam2, a2, b2
     return ChainStatus("truncated", max_index), False
 
 

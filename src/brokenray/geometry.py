@@ -40,8 +40,8 @@ GRAZING_COS = 0.05
 # A hit must lie strictly ahead of the source point by at least this length.
 AHEAD_EPS = 1e-9
 
-# 4-point Gauss-Legendre rule for the partial arc-length cells
-GAUSS4_NODES, GAUSS4_WEIGHTS = np.polynomial.legendre.leggauss(4)
+# 8-point Gauss-Legendre rule for the arc-length table and its partial cells
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def direction(alpha: float) -> np.ndarray:
@@ -149,7 +149,7 @@ class ReflectionEvent:
 
 
 class Boundary:
-    """Common machinery for unit-speed, negatively oriented boundaries."""
+    """Common interface of unit-speed, negatively oriented boundaries."""
 
     closed: bool = True
 
@@ -158,47 +158,71 @@ class Boundary:
         raise NotImplementedError
 
     def frame(self, tau: float) -> Frame:
+        """Frame at arc length tau; closed boundaries reduce tau periodically."""
         raise NotImplementedError
 
     def line_intersections(self, line: LineCoords) -> list[float]:
         """Arc parameters of all intersections of the full line."""
         raise NotImplementedError
 
-    def wrap_tau(self, tau: float) -> float:
-        if self.closed:
-            return tau % self.length
-        return tau
 
-    def first_exit(self, line: LineCoords, from_point) -> float:
-        """First transversal outward crossing strictly ahead of from_point.
+class _ClosedCurve(Boundary):
+    """Closed mirror given by a smooth periodic parametrization gamma0(u).
 
-        Raises NoIntersection if the ray never leaves through the boundary
-        and GrazingIncidence if the first outward crossing is closer than
-        GRAZING_COS to tangential.
-        """
-        t0 = line.coord_of(from_point)
-        hits = []
-        for tau in self.line_intersections(line):
-            fr = self.frame(tau)
-            t = line.coord_of(fr.point)
-            if t <= t0 + AHEAD_EPS:
-                continue
-            cos_b = float(np.dot(line.v, fr.normal))
-            if cos_b <= 0.0:
-                continue  # inward crossing, the ray enters here
-            hits.append((t, tau, cos_b))
-        if not hits:
-            raise NoIntersection(
-                f"ray (s={line.s:.6g}, alpha={line.alpha:.6g}) from "
-                f"{np.asarray(from_point)} does not exit the boundary"
-            )
-        hits.sort()
-        _, tau, cos_b = hits[0]
-        if cos_b < GRAZING_COS:
-            raise GrazingIncidence(
-                f"|cos beta| = {cos_b:.4g} below threshold {GRAZING_COS}"
-            )
-        return tau
+    Subclasses set the parameter period ``_period`` and the number of table
+    cells ``_cells`` and provide ``_speed(u)`` = |gamma0'(u)| (vectorized)
+    and ``_derivatives(u)`` = (gamma0, gamma0', gamma0'').  The base
+    reparametrizes to arc length through a cumulative Gauss-Legendre table.
+    """
+
+    _period: float
+    _cells: int
+
+    @cached_property
+    def _arclength_table(self):
+        # Cumulative arc length on a uniform u grid, accurate to rounding
+        # for smooth integrands.
+        n, h = self._cells, self._period / self._cells
+        grid = np.linspace(0.0, self._period, n + 1)
+        pts = grid[:-1, None] + (GAUSS_NODES + 1.0) * (h / 2.0)
+        seg = (self._speed(pts.ravel()).reshape(n, -1) @ GAUSS_WEIGHTS) * (h / 2.0)
+        return grid, np.concatenate([[0.0], np.cumsum(seg)])
+
+    @property
+    def length(self) -> float:
+        return float(self._arclength_table[1][-1])
+
+    def tau_of_u(self, u: float) -> float:
+        """Arc length from u=0, smooth and monotone over all of R."""
+        grid, cum = self._arclength_table
+        turns = math.floor(u / self._period)
+        u = u - turns * self._period
+        i = min(int(u / self._period * self._cells), self._cells - 1)
+        h = u - grid[i]
+        tau = float(cum[i])
+        if h > 0:
+            pts = grid[i] + (GAUSS_NODES + 1.0) * (h / 2.0)
+            tau += float(self._speed(pts) @ GAUSS_WEIGHTS) * (h / 2.0)
+        return tau + turns * float(cum[-1])
+
+    def u_of_tau(self, tau: float) -> float:
+        grid, cum = self._arclength_table
+        tau = tau % float(cum[-1])
+        u = float(np.interp(tau, cum, grid))
+        for _ in range(4):
+            du = (self.tau_of_u(u) - tau) / float(self._speed(u))
+            u -= du
+            if abs(du) < 1e-15:
+                break
+        return u % self._period
+
+    def frame(self, tau: float) -> Frame:
+        point, d1, d2 = self._derivatives(self.u_of_tau(tau))
+        speed = math.hypot(d1[0], d1[1])
+        tangent = d1 / speed
+        # n = (-ty, tx) is outward for the clockwise traversal
+        outward = np.array([-tangent[1], tangent[0]])
+        return Frame(point, tangent, outward, cross2(d1, d2) / speed**3)
 
 
 @dataclass(frozen=True)
@@ -221,7 +245,7 @@ class Circle(Boundary):
         return Frame(point, tangent, outward, -1.0 / r)
 
     def tau_of_point(self, point) -> float:
-        return self.wrap_tau(self.radius * math.atan2(-point[1], point[0]))
+        return (self.radius * math.atan2(-point[1], point[0])) % self.length
 
     def line_intersections(self, line: LineCoords) -> list[float]:
         disc = self.radius**2 - line.s**2
@@ -236,71 +260,27 @@ class Circle(Boundary):
 
 
 @dataclass(frozen=True)
-class Ellipse(Boundary):
-    """Axis-aligned ellipse x^2/a^2 + y^2/b^2 = 1, traversed clockwise.
-
-    Parametrized by arc length via a quadrature table in the angular
-    parameter theta, gamma0(theta) = (a cos th, -b sin th).
-    """
+class Ellipse(_ClosedCurve):
+    """Axis-aligned ellipse x^2/a^2 + y^2/b^2 = 1, traversed clockwise,
+    gamma0(theta) = (a cos th, -b sin th)."""
 
     a: float
     b: float
-    _table_size: int = 2048
+
+    _period = TWO_PI
+    _cells = 2048
 
     def _speed(self, theta):
         return np.sqrt((self.a * np.sin(theta)) ** 2 + (self.b * np.cos(theta)) ** 2)
 
-    @cached_property
-    def _arclength_table(self):
-        # Cumulative arc length on a uniform theta grid, Gauss-Legendre
-        # 8-point per cell; accurate to rounding for smooth integrands.
-        n = self._table_size
-        theta = np.linspace(0.0, TWO_PI, n + 1)
-        nodes, weights = np.polynomial.legendre.leggauss(8)
-        h = TWO_PI / n
-        mid = theta[:-1] + h / 2.0
-        pts = mid[:, None] + nodes[None, :] * (h / 2.0)
-        seg = (self._speed(pts) @ weights) * (h / 2.0)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        return theta, cum
-
-    @property
-    def length(self) -> float:
-        return float(self._arclength_table[1][-1])
-
-    def tau_of_theta(self, theta: float) -> float:
-        """Arc length from theta=0, smooth and monotone over all of R."""
-        grid, cum = self._arclength_table
-        turns = math.floor(theta / TWO_PI)
-        theta = theta - turns * TWO_PI
-        i = min(int(theta / TWO_PI * self._table_size), self._table_size - 1)
-        th_i = grid[i]
-        h = theta - th_i
-        base = float(cum[i])
-        if h > 0:
-            pts = th_i + (GAUSS4_NODES + 1.0) * (h / 2.0)
-            base += float((self._speed(pts) @ GAUSS4_WEIGHTS) * (h / 2.0))
-        return base + turns * float(cum[-1])
-
-    def theta_of_tau(self, tau: float) -> float:
-        grid, cum = self._arclength_table
-        tau = tau % self.length
-        theta = float(np.interp(tau, cum, grid))
-        for _ in range(3):
-            theta -= (self.tau_of_theta(theta) - tau) / float(self._speed(theta))
-        return theta % TWO_PI
-
-    def frame(self, tau: float) -> Frame:
-        th = self.theta_of_tau(tau)
-        c, s = math.cos(th), math.sin(th)
-        point = np.array([self.a * c, -self.b * s])
-        d1 = np.array([-self.a * s, -self.b * c])
-        speed = math.hypot(d1[0], d1[1])
-        tangent = d1 / speed
-        # n = (-ty, tx) is outward for the clockwise traversal
-        outward = np.array([-tangent[1], tangent[0]])
-        kappa = -self.a * self.b / speed**3
-        return Frame(point, tangent, outward, kappa)
+    def _derivatives(self, theta: float):
+        c, s = math.cos(theta), math.sin(theta)
+        a, b = self.a, self.b
+        return (
+            np.array([a * c, -b * s]),
+            np.array([-a * s, -b * c]),
+            np.array([-a * c, b * s]),
+        )
 
     def line_intersections(self, line: LineCoords) -> list[float]:
         p0 = line.s * line.w
@@ -316,7 +296,7 @@ class Ellipse(Boundary):
         for t in ((-B - sq) / (2 * A), (-B + sq) / (2 * A)):
             pt = p0 + t * v
             th = math.atan2(-pt[1] / self.b, pt[0] / self.a) % TWO_PI
-            taus.append(self.tau_of_theta(th))
+            taus.append(self.tau_of_u(th))
         return taus
 
 
@@ -394,17 +374,16 @@ class Parabola(Boundary):
         return taus
 
 
-class SampledCurve(Boundary):
+class SampledCurve(_ClosedCurve):
     """Closed boundary from vertex samples, periodic cubic spline.
 
-    The input polygon is reoriented to clockwise if needed and
-    reparametrized to arc length with a quadrature table, so frames satisfy
-    the unit-speed contract to high accuracy.
+    The input polygon is reoriented to clockwise if needed; the spline
+    parameter u in [0, 1) is normalized chord length.
     """
 
-    closed = True
+    _period = 1.0
 
-    def __init__(self, points, scan_samples: int = 256):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
             raise ValueError("need an (n, 2) array with n >= 4 vertex samples")
@@ -415,104 +394,44 @@ class SampledCurve(Boundary):
             pts = pts[::-1]
         closed_pts = np.vstack([pts, pts[:1]])
         chord = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(closed_pts, axis=0).T))])
-        u = chord / chord[-1]
-        self._spline = CubicSpline(u, closed_pts, bc_type="periodic")
-        self._dspline = self._spline.derivative()
-        self._ddspline = self._dspline.derivative()
-        self._scan_samples = scan_samples
-        self._scan_u = np.linspace(0.0, 1.0, scan_samples + 1)
+        # periodic spline, so evaluation outside [0, 1] wraps
+        self._spline = CubicSpline(chord / chord[-1], closed_pts, bc_type="periodic")
+        self._cells = max(16 * len(pts), 1024)
+        self._scan_u = np.linspace(0.0, 1.0, 257)  # 256 sign-scan intervals
         self._scan_pts = self._spline(self._scan_u)
-        n = max(16 * len(pts), 1024)
-        grid = np.linspace(0.0, 1.0, n + 1)
-        nodes, weights = np.polynomial.legendre.leggauss(6)
-        h = 1.0 / n
-        mid = grid[:-1] + h / 2.0
-        eval_pts = (mid[:, None] + nodes[None, :] * (h / 2.0)).ravel()
-        speeds = np.hypot(*self._dspline(eval_pts).T).reshape(n, len(nodes))
-        seg = (speeds @ weights) * (h / 2.0)
-        self._u_grid = grid
-        self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self._length = float(self._cum[-1])
 
     @classmethod
     def from_csv(cls, path) -> "SampledCurve":
         pts = np.loadtxt(path, delimiter=",")
         return cls(pts)
 
-    @property
-    def length(self) -> float:
-        return self._length
+    def _speed(self, u):
+        return np.hypot(*self._spline(u, 1).T)
 
-    def _speed_u(self, u: float) -> float:
-        d = self._dspline(u % 1.0)
-        return math.hypot(d[0], d[1])
-
-    def u_of_tau(self, tau: float) -> float:
-        tau = tau % self._length
-        u = float(np.interp(tau, self._cum, self._u_grid))
-        for _ in range(4):
-            du = (self.tau_of_u(u) - tau) / self._speed_u(u)
-            u -= du
-            if abs(du) < 1e-15:
-                break
-        return u % 1.0
-
-    def tau_of_u(self, u: float) -> float:
-        """Arc length from u=0, smooth and monotone over all of R."""
-        turns = math.floor(u)
-        u = u - turns
-        i = min(int(u * (len(self._u_grid) - 1)), len(self._u_grid) - 2)
-        u_i = self._u_grid[i]
-        h = u - u_i
-        base = float(self._cum[i])
-        if h > 0:
-            pts = u_i + (GAUSS4_NODES + 1.0) * (h / 2.0)
-            sp = np.hypot(*self._dspline(pts % 1.0).T)
-            base += float((sp @ GAUSS4_WEIGHTS) * (h / 2.0))
-        return base + turns * self._length
-
-    def frame(self, tau: float) -> Frame:
-        u = self.u_of_tau(tau)
-        point = self._spline(u)
-        d1 = self._dspline(u)
-        d2 = self._ddspline(u)
-        speed = math.hypot(d1[0], d1[1])
-        tangent = d1 / speed
-        outward = np.array([-tangent[1], tangent[0]])
-        kappa = cross2(d1, d2) / speed**3
-        return Frame(np.asarray(point), tangent, outward, kappa)
+    def _derivatives(self, u: float):
+        return self._spline(u), self._spline(u, 1), self._spline(u, 2)
 
     def line_intersections(self, line: LineCoords) -> list[float]:
         # Coarse sign scan in u, then bracketed root refinement.
-        n = self._scan_samples
         us = self._scan_u
         f = self._scan_pts @ line.w - line.s
 
         def fu(u):
-            return float(self._spline(u % 1.0) @ line.w - line.s)
+            return float(self._spline(u) @ line.w - line.s)
 
         taus = []
-        for i in range(n):
+        for i in range(len(us) - 1):
             a, b = f[i], f[i + 1]
             if a == 0.0:
                 taus.append(self.tau_of_u(us[i]))
             elif a * b < 0.0:
                 root = brentq(fu, us[i], us[i + 1], xtol=1e-13)
                 # Newton polish against the analytic derivative
-                d = float(self._dspline(root % 1.0) @ line.w)
+                d = float(self._spline(root, 1) @ line.w)
                 if d != 0.0:
                     root -= fu(root) / d
                 taus.append(self.tau_of_u(root))
         return taus
-
-
-def evaluate(boundary: Boundary, tau: float) -> Frame:
-    """Boundary frame (point, tangent, outward normal, curvature) at tau.
-
-    Closed boundaries wrap periodically; the open parabola raises
-    ValueError outside its extent.
-    """
-    return boundary.frame(boundary.wrap_tau(tau))
 
 
 def intersect_ray(boundary: Boundary, line: LineCoords, from_point) -> float:
@@ -521,12 +440,32 @@ def intersect_ray(boundary: Boundary, line: LineCoords, from_point) -> float:
     The reflection point is the first crossing strictly ahead of
     ``from_point`` at which the ray leaves the region bounded by the curve
     (<v, n> > 0).  For a source inside a convex boundary this is the exit
-    point of the chord.
+    point of the chord.  Raises NoIntersection if the ray never leaves
+    through the boundary and GrazingIncidence if the first outward crossing
+    is closer than GRAZING_COS to tangential.
     """
-    from_point = np.asarray(from_point, dtype=float)
-    # keep the anchor exactly on the line so the hit test is consistent
-    from_point = from_point + (line.s - float(np.dot(from_point, line.w))) * line.w
-    return boundary.first_exit(line, from_point)
+    t0 = line.coord_of(from_point)
+    hits = []
+    for tau in boundary.line_intersections(line):
+        fr = boundary.frame(tau)
+        t = line.coord_of(fr.point)
+        if t <= t0 + AHEAD_EPS:
+            continue
+        cos_b = float(np.dot(line.v, fr.normal))
+        if cos_b <= 0.0:
+            continue  # inward crossing, the ray enters here
+        hits.append((t, tau, cos_b))
+    if not hits:
+        raise NoIntersection(
+            f"ray (s={line.s:.6g}, alpha={line.alpha:.6g}) from "
+            f"{np.asarray(from_point)} does not exit the boundary"
+        )
+    _, tau, cos_b = min(hits)
+    if cos_b < GRAZING_COS:
+        raise GrazingIncidence(
+            f"|cos beta| = {cos_b:.4g} below threshold {GRAZING_COS}"
+        )
+    return tau
 
 
 def reflect(boundary: Boundary, line_in: LineCoords, from_point) -> ReflectionEvent:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from brokenray.errors import BrokenRayError
 from brokenray.geometry import (
     Circle,
     Ellipse,
@@ -89,6 +90,6 @@ def random_admissible_events(boundary, rng, n, interior_radius=None):
         line = LineCoords.through(p, alpha)
         try:
             events.append((line, p, reflect(boundary, line, p)))
-        except Exception:
+        except BrokenRayError:
             continue
     return events

@@ -18,7 +18,12 @@ from brokenray.conjugate import (
     source_derivatives,
     tangent_conjugate_locus,
 )
-from brokenray.errors import CenterSource, DegenerateDirection, EmptyCaustic
+from brokenray.errors import (
+    BrokenRayError,
+    CenterSource,
+    DegenerateDirection,
+    EmptyCaustic,
+)
 from brokenray.geometry import Circle, LineCoords, Parabola, direction, normal, reflect
 
 from conftest import random_admissible_events
@@ -150,7 +155,7 @@ class TestConjugatePoint:
             line = LineCoords.through(p, alpha)
             try:
                 event = reflect(parabola, line, p)
-            except Exception:
+            except BrokenRayError:
                 continue
             tried += 1
             da2, _ = source_derivatives(p, event)
@@ -232,7 +237,7 @@ class TestCaustic:
             line = LineCoords.through(p, alpha)
             try:
                 event = reflect(parabola, line, p)
-            except Exception:
+            except BrokenRayError:
                 continue
             if abs(event.hit_point[0] - x_hit) > 1e-9:
                 continue

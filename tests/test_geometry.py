@@ -10,7 +10,7 @@ from brokenray.geometry import (
     Ellipse,
     LineCoords,
     Parabola,
-    evaluate,
+    SampledCurve,
     intersect_ray,
     normalize_angle,
     reflect,
@@ -41,14 +41,14 @@ def test_line_through_point_contains_it(x, y, alpha):
 
 class TestFrames:
     def test_circle_frame_at_zero(self, circle):
-        fr = evaluate(circle, 0.0)
+        fr = circle.frame(0.0)
         np.testing.assert_allclose(fr.point, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(fr.tangent, [0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(fr.normal, [1.0, 0.0], atol=1e-12)
         assert fr.kappa == pytest.approx(-1.0)
 
     def test_parabola_vertex_frame(self, parabola):
-        fr = evaluate(parabola, 0.0)
+        fr = parabola.frame(0.0)
         np.testing.assert_allclose(fr.point, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(fr.tangent, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(fr.normal, [0.0, 1.0], atol=1e-12)
@@ -58,8 +58,8 @@ class TestFrames:
     def test_degenerate_ellipse_matches_circle(self, circle):
         ell = Ellipse(1.0, 1.0)
         for tau in np.linspace(0.0, 2.0 * math.pi, 17):
-            fc = evaluate(circle, tau)
-            fe = evaluate(ell, tau)
+            fc = circle.frame(tau)
+            fe = ell.frame(tau)
             np.testing.assert_allclose(fe.point, fc.point, atol=1e-9)
             np.testing.assert_allclose(fe.tangent, fc.tangent, atol=1e-9)
             np.testing.assert_allclose(fe.normal, fc.normal, atol=1e-9)
@@ -75,12 +75,12 @@ class TestFrames:
             taus = np.linspace(-span / 2.0 + 0.05, span / 2.0 - 0.05, 23)
         delta = 1e-5
         for tau in taus:
-            fr = evaluate(boundary, tau)
+            fr = boundary.frame(tau)
             assert math.hypot(*fr.tangent) == pytest.approx(1.0, abs=1e-12)
             assert math.hypot(*fr.normal) == pytest.approx(1.0, abs=1e-12)
             # unit speed: the finite-difference velocity has unit length
-            gp = evaluate(boundary, tau + delta).point
-            gm = evaluate(boundary, tau - delta).point
+            gp = boundary.frame(tau + delta).point
+            gm = boundary.frame(tau - delta).point
             vel = (gp - gm) / (2.0 * delta)
             assert math.hypot(*vel) == pytest.approx(1.0, abs=1e-9)
             np.testing.assert_allclose(vel, fr.tangent, atol=1e-8)
@@ -88,16 +88,35 @@ class TestFrames:
             acc = (gp - 2.0 * fr.point + gm) / delta**2
             np.testing.assert_allclose(acc, fr.kappa * fr.normal, atol=1e-4)
 
+    def test_sampled_ellipse_matches_analytic(self):
+        # one curve through both parametrizations of the closed-curve base:
+        # the spline through clockwise samples (a cos th, -b sin th) starts
+        # at the same point, so the two arc-length parameters coincide
+        ell = Ellipse(1.4, 0.9)
+        th = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+        curve = SampledCurve(np.column_stack([1.4 * np.cos(th), -0.9 * np.sin(th)]))
+        assert curve.length == pytest.approx(ell.length, rel=1e-8)
+        for tau in np.linspace(-0.3, ell.length + 0.3, 37):
+            fs, fe = curve.frame(tau), ell.frame(tau)
+            np.testing.assert_allclose(fs.point, fe.point, atol=1e-8)
+            np.testing.assert_allclose(fs.tangent, fe.tangent, atol=1e-6)
+        rng = np.random.default_rng(61)
+        for line, p, event in random_admissible_events(ell, rng, 100):
+            other = reflect(curve, line, p)
+            assert other.tau0 == pytest.approx(event.tau0, abs=1e-8)
+            assert other.line_out.s == pytest.approx(event.line_out.s, abs=1e-5)
+            assert other.beta == pytest.approx(event.beta, abs=1e-5)
+
     def test_parabola_extent_error(self, parabola):
         with pytest.raises(ValueError):
-            evaluate(parabola, parabola.length)
+            parabola.frame(parabola.length)
 
 
 class TestIntersect:
     def test_circle_exit_point(self, circle):
         line = LineCoords(0.0, 0.0)
         tau = intersect_ray(circle, line, np.array([-2.0, 0.0]))
-        np.testing.assert_allclose(evaluate(circle, tau).point, [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(circle.frame(tau).point, [1.0, 0.0], atol=1e-9)
 
     def test_circle_tangent_line_grazes(self, circle):
         with pytest.raises((GrazingIncidence, NoIntersection)):
@@ -116,7 +135,7 @@ class TestIntersect:
         line = LineCoords.through(np.array([0.0, -3.0]), math.pi / 2.0)
         tau = intersect_ray(parabola, line, np.array([0.0, -3.0]))
         assert tau == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(evaluate(parabola, tau).point, [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(parabola.frame(tau).point, [0.0, 0.0], atol=1e-12)
 
     def test_parabola_escape_is_no_intersection(self):
         bnd = Parabola(focal=1.0, x_max=1.0)
@@ -146,7 +165,7 @@ class TestReflect:
         rng = np.random.default_rng(5)
         for boundary in (circle, ellipse, generic_curve):
             for line, p, event in random_admissible_events(boundary, rng, 40):
-                fr = evaluate(boundary, event.tau0)
+                fr = boundary.frame(event.tau0)
                 v_in = line.v
                 v_spec = v_in - 2.0 * float(np.dot(v_in, fr.normal)) * fr.normal
                 np.testing.assert_allclose(event.line_out.v, v_spec, atol=1e-9)
