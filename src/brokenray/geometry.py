@@ -26,8 +26,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import GrazingIncidence, NoIntersection
 
@@ -384,6 +382,8 @@ class SampledCurve(_ClosedCurve):
     _period = 1.0
 
     def __init__(self, points):
+        from scipy.interpolate import CubicSpline
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
             raise ValueError("need an (n, 2) array with n >= 4 vertex samples")
@@ -413,6 +413,8 @@ class SampledCurve(_ClosedCurve):
 
     def line_intersections(self, line: LineCoords) -> list[float]:
         # Coarse sign scan in u, then bracketed root refinement.
+        from scipy.optimize import brentq
+
         us = self._scan_u
         f = self._scan_pts @ line.w - line.s
 

@@ -7,8 +7,9 @@ y).  Sinogram convention: rows are angles ``alpha_m = 2 pi m / n_alpha``
 at (s, alpha) integrates the bilinear interpolant of the image along the
 directed line {x . w(alpha) = s} with step ``h`` and trapezoid weights.
 
-Adjoints scatter through the identical stencils, scaled by
-``ds * dalpha / dx^2``, so the weighted pairing
+The stencils of every line form one sparse matrix, built once per
+geometry and cached (``_plan``).  Adjoints scatter through the identical
+stencils, scaled by ``ds * dalpha / dx^2``, so the weighted pairing
 ``<A f, g> ds dalpha = <f, A* g> dx^2`` holds to rounding error.
 
 Every operator here has one shape, ``A f = R f + (R f) o chi`` for a map
@@ -23,10 +24,12 @@ transform has no chi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BrokenRayError, SupportViolation
 from .geometry import (
@@ -170,48 +173,104 @@ def sino_norm(a: Sinogram) -> float:
     return math.sqrt(max(sino_inner(a, a), 0.0))
 
 
-# width of the zero ring around the image used by the sampling kernel; any
-# clamped out-of-hull stencil lands fully inside the ring and reads zeros
-_PAD = 2
+def _line_step(h: float | None, dx: float) -> float:
+    """The sampling step along each line: half a pixel by default."""
+    if h is None:
+        return dx / 2.0
+    h = float(h)
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"line step h must be finite and positive, got {h!r}")
+    return h
 
 
-def _grid_coords(layout: SinogramLayout, img: GridImage, m: int, h: float):
-    """Sample coordinates (padded pixel units) and trapezoid weights for
-    every offset of angle row m."""
+def _grid_coords(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout,
+                 m: int, h: float):
+    """Sample coordinates (pixel units, pixel centres at integers) and
+    trapezoid weights for every offset of angle row m."""
     alpha = m * layout.dalpha
     v = direction(alpha)
     w = normal(alpha)
-    half_diag = 0.5 * math.hypot(img.x_max - img.x_min, img.y_max - img.y_min)
+    half_diag = 0.5 * math.hypot(n * dx, n * dx)
     n_t = max(int(math.ceil(2.0 * half_diag / h)) + 1, 2)
     t = -half_diag + np.arange(n_t) * h
     wt = np.full(n_t, h)
     wt[0] = wt[-1] = h / 2.0
     s = layout.s_centers
-    off = _PAD - 0.5
-    gx = (s[:, None] * w[0] + t[None, :] * v[0] - img.x_min) / img.dx + off
-    gy = (s[:, None] * w[1] + t[None, :] * v[1] - img.y_min) / img.dx + off
+    gx = (s[:, None] * w[0] + t[None, :] * v[0] - x_min) / dx - 0.5
+    gy = (s[:, None] * w[1] + t[None, :] * v[1] - y_min) / dx - 0.5
     return gx, gy, wt
 
 
-def _stencil(gx, gy, width):
-    """Clamped bilinear stencil on the padded grid: flat corner indices and
-    fractional weights.  No validity tests are needed: clamping pushes
-    out-of-hull corners into the zero ring."""
-    np.clip(gx, 0.0, width - 2.0, out=gx)
-    np.clip(gy, 0.0, width - 2.0, out=gy)
-    ix0 = gx.astype(np.int64)
-    iy0 = gy.astype(np.int64)
-    fx = gx - ix0
-    fy = gy - iy0
-    base = iy0 * width + ix0
-    return base, fx, fy
+@functools.lru_cache(maxsize=2)
+def _plan(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout, h: float):
+    """The Radon transform of an n x n image as one read-only CSR matrix
+    ``A`` and a symmetry order ``q``.
+
+    ``A`` has one row per (angle row m < n_alpha / q, offset k) and one
+    column per pixel of ``data.ravel()``; its weights are the bilinear
+    corner weights times the trapezoid weights along the line.  Corners
+    outside the image are dropped: the interpolant is zero there.  On a
+    window centred on the origin with ``n_alpha % 4 == 0`` a quarter turn
+    maps the grid onto itself, so ``R f(s, a + k pi/2) = R(rot90(f, k))(s, a)``
+    and the plan covers only the first quarter-turn of angles (q = 4);
+    otherwise it covers every angle (q = 1).
+    """
+    centred = all(math.isclose(c, -n * dx / 2.0, rel_tol=1e-12) for c in (x_min, y_min))
+    q = 4 if centred and layout.n_alpha % 4 == 0 else 1
+    n_s = layout.n_s
+    nnz, counts = 0, []
+    data, indices = np.empty(1 << 16), np.empty(1 << 16, dtype=np.int32)
+    for m in range(layout.n_alpha // q):
+        gx, gy, wt = _grid_coords(n, x_min, y_min, dx, layout, m, h)
+        near = (gx > -1.0) & (gx < n) & (gy > -1.0) & (gy < n)  # some corner inside
+        k = np.broadcast_to(np.arange(n_s)[:, None], near.shape)[near]
+        wt = np.broadcast_to(wt, near.shape)[near]
+        gx, gy = gx[near], gy[near]
+        ix0, iy0 = np.floor(gx), np.floor(gy)
+        fx, fy = gx - ix0, gy - iy0
+        ix0, iy0 = ix0.astype(np.int64), iy0.astype(np.int64)
+        rows, cols, vals = [], [], []
+        for dy, wy in ((0, 1.0 - fy), (1, fy)):
+            for dxi, wx in ((0, 1.0 - fx), (1, fx)):
+                ix, iy = ix0 + dxi, iy0 + dy
+                ok = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
+                r, c, w = k[ok], (iy * n + ix)[ok], (wy * wx * wt)[ok]
+                # both pixel indices are monotone along a line, so one corner
+                # meets each pixel in a single run of samples: merge the runs
+                # here and leave the sort only the duplicates across corners
+                start = np.flatnonzero(np.r_[True, (c[1:] != c[:-1]) | (r[1:] != r[:-1])])
+                rows.append(r[start])
+                cols.append(c[start])
+                vals.append(np.add.reduceat(w, start))
+        # the conversion sums duplicate entries
+        block = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_s, n * n),
+        )
+        end = nnz + block.nnz
+        if end > data.size:
+            # in-place resize reallocates, and a large buffer grows by
+            # remapping its pages rather than copying: the resident peak
+            # stays near one plan, where stacking the blocks needs two
+            size = max(end, data.size * 5 // 4)
+            data.resize(size, refcheck=False)
+            indices.resize(size, refcheck=False)
+        data[nnz:end], indices[nnz:end] = block.data, block.indices
+        counts.append(np.diff(block.indptr))
+        nnz = end
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    counts = np.concatenate(counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    A = sp.csr_matrix((data, indices, indptr), shape=(counts.size, n * n))
+    A.has_canonical_format = True
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A, q
 
 
-def _pad_image(data: np.ndarray) -> np.ndarray:
-    n = data.shape[0]
-    padded = np.zeros((n + 2 * _PAD, n + 2 * _PAD))
-    padded[_PAD:-_PAD, _PAD:-_PAD] = data
-    return padded
+def _image_plan(img: GridImage, layout: SinogramLayout, h: float | None):
+    return _plan(img.n, img.x_min, img.y_min, img.dx, layout, _line_step(h, img.dx))
 
 
 def radon(f: GridImage, layout: SinogramLayout, h: float | None = None) -> Sinogram:
@@ -221,20 +280,10 @@ def radon(f: GridImage, layout: SinogramLayout, h: float | None = None) -> Sinog
     """
     if not np.all(np.isfinite(f.data)):
         raise ValueError("image contains non-finite samples")
-    if h is None:
-        h = f.dx / 2.0
-    width = f.n + 2 * _PAD
-    flat = _pad_image(f.data).ravel()
-    out = np.empty((layout.n_alpha, layout.n_s))
-    for m in range(layout.n_alpha):
-        gx, gy, wt = _grid_coords(layout, f, m, h)
-        base, fx, fy = _stencil(gx, gy, width)
-        top = flat.take(base)
-        top += (flat.take(base + 1) - top) * fx
-        bot = flat.take(base + width)
-        bot += (flat.take(base + width + 1) - bot) * fx
-        top += (bot - top) * fy
-        out[m] = top @ wt
+    A, q = _image_plan(f, layout, h)
+    turns = np.stack([np.rot90(f.data, k).ravel() for k in range(q)], axis=1)
+    # column k of the product holds the angle rows from k n_alpha / q on
+    out = (A @ turns).T.reshape(layout.n_alpha, layout.n_s)
     return Sinogram(out, layout.s_max)
 
 
@@ -245,31 +294,13 @@ def radon_adjoint(g: Sinogram, img_layout: GridImage, h: float | None = None) ->
     factor ds*dalpha/dx^2, making this the adjoint for the weighted inner
     products ``image_inner``/``sino_inner``.
     """
-    if h is None:
-        h = img_layout.dx / 2.0
     layout = g.layout
-    vals = g.filled()
-    width = img_layout.n + 2 * _PAD
-    acc = np.zeros(width * width)
-    for m in range(layout.n_alpha):
-        gx, gy, wt = _grid_coords(layout, img_layout, m, h)
-        base, fx, fy = _stencil(gx, gy, width)
-        row = (vals[m][:, None] * wt[None, :]).ravel()
-        base = base.ravel()
-        fx = fx.ravel()
-        fy = fy.ravel()
-        w11 = fx * fy
-        w10 = fy - w11
-        w01 = fx - w11
-        w00 = (1.0 - fx) - w10
-        size = acc.size
-        acc += np.bincount(base, weights=row * w00, minlength=size)
-        acc += np.bincount(base + 1, weights=row * w01, minlength=size)
-        acc += np.bincount(base + width, weights=row * w10, minlength=size)
-        acc += np.bincount(base + width + 1, weights=row * w11, minlength=size)
+    A, q = _image_plan(img_layout, layout, h)
+    n = img_layout.n
+    back = A.T @ np.ascontiguousarray(g.filled().reshape(q, -1).T)
+    acc = sum(np.rot90(back[:, k].reshape(n, n), -k) for k in range(q))
     scale = layout.ds * layout.dalpha / img_layout.dx**2
-    inner = acc.reshape(width, width)[_PAD:-_PAD, _PAD:-_PAD]
-    return img_layout.copy_with(inner * scale)
+    return img_layout.copy_with(acc * scale)
 
 
 def lambda_filter(g: Sinogram, power: float = 1.0) -> Sinogram:
@@ -424,7 +455,7 @@ class RadonOperator:
     def __init__(self, img_layout: GridImage, sino_layout: SinogramLayout, h: float | None = None):
         self.img_layout = img_layout.layout_like()
         self.sino_layout = sino_layout
-        self.h = h if h is not None else img_layout.dx / 2.0
+        self.h = _line_step(h, img_layout.dx)
         self.mask = None
         self.corners = []
         self._support_ok = None  # pixels clear of the mirror; None: no mirror

@@ -12,6 +12,8 @@ from brokenray.geometry import (
     LineCoords,
     Parabola,
     SampledCurve,
+    direction,
+    normal,
     reflect,
     reflect_line_map,
 )
@@ -93,3 +95,69 @@ def random_admissible_events(boundary, rng, n, interior_radius=None):
         except BrokenRayError:
             continue
     return events
+
+
+# Reference Radon pair for the sparse plan of brokenray.transforms: one
+# angle row at a time, each with its own bilinear stencil on the image
+# padded by a zero ring; clamping pushes every out-of-image corner into
+# that ring, so it reads zero.
+_PAD = 2
+
+
+def _loop_grid_coords(layout, img, m, h):
+    alpha = m * layout.dalpha
+    v = direction(alpha)
+    w = normal(alpha)
+    half_diag = 0.5 * math.hypot(img.x_max - img.x_min, img.y_max - img.y_min)
+    n_t = max(int(math.ceil(2.0 * half_diag / h)) + 1, 2)
+    t = -half_diag + np.arange(n_t) * h
+    wt = np.full(n_t, h)
+    wt[0] = wt[-1] = h / 2.0
+    s = layout.s_centers
+    off = _PAD - 0.5
+    gx = (s[:, None] * w[0] + t[None, :] * v[0] - img.x_min) / img.dx + off
+    gy = (s[:, None] * w[1] + t[None, :] * v[1] - img.y_min) / img.dx + off
+    return gx, gy, wt
+
+
+def _loop_stencil(gx, gy, width):
+    np.clip(gx, 0.0, width - 2.0, out=gx)
+    np.clip(gy, 0.0, width - 2.0, out=gy)
+    ix0 = gx.astype(np.int64)
+    iy0 = gy.astype(np.int64)
+    return iy0 * width + ix0, gx - ix0, gy - iy0
+
+
+def loop_radon(f, layout, h):
+    """Sinogram data of ``transforms.radon(f, layout, h)``, one angle at a time."""
+    width = f.n + 2 * _PAD
+    flat = np.pad(f.data, _PAD).ravel()
+    out = np.empty((layout.n_alpha, layout.n_s))
+    for m in range(layout.n_alpha):
+        gx, gy, wt = _loop_grid_coords(layout, f, m, h)
+        base, fx, fy = _loop_stencil(gx, gy, width)
+        top = flat.take(base)
+        top += (flat.take(base + 1) - top) * fx
+        bot = flat.take(base + width)
+        bot += (flat.take(base + width + 1) - bot) * fx
+        top += (bot - top) * fy
+        out[m] = top @ wt
+    return out
+
+
+def loop_radon_adjoint(g, img, h):
+    """Image data of ``transforms.radon_adjoint(g, img, h)``, one angle at a time."""
+    layout = g.layout
+    vals = g.filled()
+    width = img.n + 2 * _PAD
+    acc = np.zeros(width * width)
+    for m in range(layout.n_alpha):
+        gx, gy, wt = _loop_grid_coords(layout, img, m, h)
+        base, fx, fy = _loop_stencil(gx, gy, width)
+        row = (vals[m][:, None] * wt[None, :]).ravel()
+        base, fx, fy = base.ravel(), fx.ravel(), fy.ravel()
+        for shift, w in ((0, (1.0 - fx) * (1.0 - fy)), (1, fx * (1.0 - fy)),
+                         (width, (1.0 - fx) * fy), (width + 1, fx * fy)):
+            acc += np.bincount(base + shift, weights=row * w, minlength=acc.size)
+    scale = layout.ds * layout.dalpha / img.dx**2
+    return acc.reshape(width, width)[_PAD:-_PAD, _PAD:-_PAD] * scale

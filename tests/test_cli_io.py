@@ -243,3 +243,13 @@ class TestCommands:
         )
         assert rc.returncode == 0
         assert "PASS" in rc.stdout
+
+    def test_import_leaves_unused_scipy_modules_unloaded(self):
+        code = (
+            "import brokenray.cli, sys; "
+            "print(' '.join(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.spatial')"
+            " if m in sys.modules))"
+        )
+        rc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert rc.returncode == 0, rc.stderr
+        assert rc.stdout.strip() == ""

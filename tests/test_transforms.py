@@ -20,6 +20,7 @@ from brokenray.transforms import (
     radon_adjoint,
     sino_inner,
 )
+from conftest import loop_radon, loop_radon_adjoint
 
 
 def gaussian_image(n=128, half_width=1.0, center=(0.0, 0.0), sigma=0.1, amp=1.0):
@@ -138,6 +139,80 @@ class TestRadonAdjoint:
         off = img.data[dist > 4 * lay.ds]
         assert np.max(np.abs(off)) < 1e-12 or np.max(np.abs(off)) < 0.05 * np.max(on)
         assert np.max(on) > 0
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# (n, window (lo, hi) on both axes, layout, line step in pixels)
+PLAN_CASES = {
+    "centred-48x60": (64, (-1.0, 1.0), SinogramLayout(48, 60, 1.0), 0.5),
+    "30-angles": (48, (-1.0, 1.0), SinogramLayout(40, 30, 1.0), 0.5),
+    "90-angles": (40, (-1.0, 1.0), SinogramLayout(32, 90, 1.0), 0.5),
+    "off-centre": (48, (-0.5, 1.5), SinogramLayout(40, 48, 1.0), 0.5),
+    "quarter-pixel-step": (48, (-1.0, 1.0), SinogramLayout(40, 48, 1.0), 0.25),
+    "s_max-1.5": (40, (-1.0, 1.0), SinogramLayout(60, 60, 1.5), 0.5),
+}
+
+
+class TestRadonPlan:
+    """The cached sparse plan against the per-angle reference loops."""
+
+    @pytest.mark.parametrize("case", PLAN_CASES, ids=list(PLAN_CASES))
+    def test_matches_loop_oracle(self, case):
+        n, (lo, hi), lay, step = PLAN_CASES[case]
+        rng = np.random.default_rng(11)
+        f = GridImage(rng.standard_normal((n, n)), lo, hi, lo, hi)
+        g = random_sino(lay, rng)
+        h = step * f.dx
+        rf = radon(f, lay, h)
+        back = radon_adjoint(g, f, h)
+        assert max_rel(rf.data, loop_radon(f, lay, h)) < 1e-12
+        assert max_rel(back.data, loop_radon_adjoint(g, f, h)) < 1e-12
+        lhs, rhs = sino_inner(rf, g), image_inner(f, back)
+        assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+        # lines beyond the corners of the interpolant's support read nothing
+        reach = math.sqrt(2.0) * (max(-lo, hi) + f.dx / 2.0)
+        beyond = np.abs(lay.s_centers) > reach
+        assert beyond.any() == (case == "s_max-1.5")
+        assert np.all(rf.data[:, beyond] == 0.0)
+
+    def test_cached_per_geometry(self):
+        transforms._plan.cache_clear()
+        rng = np.random.default_rng(12)
+        f = random_image(32, rng)
+        lay = SinogramLayout(24, 16, 1.0)
+        radon(f, lay)
+        radon_adjoint(radon(f, lay), f)
+        info = transforms._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        radon(f, lay, h=f.dx / 4.0)
+        radon(GridImage(f.data, -1.0, 1.5, -1.0, 1.5), lay)
+        radon(f, SinogramLayout(24, 20, 1.0))
+        assert transforms._plan.cache_info().misses == 4
+
+    def test_cached_plan_is_read_only(self):
+        f = random_image(32, np.random.default_rng(13))
+        lay = SinogramLayout(24, 16, 1.0)
+        A, q = transforms._plan(f.n, f.x_min, f.y_min, f.dx, lay, f.dx / 2.0)
+        assert q == 4 and A.shape == (24 * 16 // 4, 32 * 32)
+        for arr in (A.data, A.indices, A.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan])
+    def test_bad_line_step_rejected(self, h):
+        f = random_image(16, np.random.default_rng(14))
+        lay = SinogramLayout(12, 8, 1.0)
+        transforms._plan.cache_clear()
+        with pytest.raises(ValueError, match="line step"):
+            radon(f, lay, h)
+        with pytest.raises(ValueError, match="line step"):
+            radon_adjoint(Sinogram.zeros(lay), f, h)
+        with pytest.raises(ValueError, match="line step"):
+            RadonOperator(f, lay, h)
+        assert transforms._plan.cache_info().currsize == 0
 
 
 class TestLambdaFilter:
