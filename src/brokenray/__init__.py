@@ -48,6 +48,7 @@ from .geometry import (
     intersect_ray,
     make_boundary,
     reflect,
+    reflect_rays,
     reflection_jacobian,
 )
 from .phantoms import PhantomSpec, clip_to_boundary, place, render

@@ -141,18 +141,35 @@ class ExperimentConfig:
     def seed(self) -> int:
         return self.getint("experiment", "seed", 0)
 
+    def _check_positive(self, section, key, kind=float, required=False) -> None:
+        raw = self.get(section, key)
+        if raw is None:
+            if required:
+                raise ConfigError(f"[{section}] needs {key}")
+            return
+        try:
+            value = kind(raw)
+        except ValueError:
+            kind_name = "an integer" if kind is int else "a number"
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind_name}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"[{section}] {key} must be positive, got {raw!r}")
+
     def validate(self) -> None:
-        n = self.getint("grid", "n", 128)
-        if n <= 0:
-            raise ConfigError("grid n must be positive")
-        if self.getfloat("grid", "half_width", 1.0) <= 0:
-            raise ConfigError("grid half_width must be positive")
+        for key in ("n", "n_s", "n_alpha"):
+            self._check_positive("grid", key, int)
+        for key in ("half_width", "s_max"):
+            self._check_positive("grid", key)
         fam = self.get("family", "kind", "full")
         if fam not in ("full", "half_plane", "arc", "local", "parallel"):
             raise ConfigError(f"unknown family kind {fam!r}")
         bnd = self.get("boundary", "kind", "circle")
         if bnd not in ("circle", "ellipse", "parabola", "generic", "none"):
             raise ConfigError(f"unknown boundary kind {bnd!r}")
+        for key, required in {"circle": [("radius", False)],
+                              "ellipse": [("a", True), ("b", True)],
+                              "parabola": [("focal", False), ("x_max", False)]}.get(bnd, []):
+            self._check_positive("boundary", key, required=required)
         if bnd == "generic":
             csv = self.get("boundary", "csv")
             if csv is None or not Path(csv).exists():
@@ -394,7 +411,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
 def _selftest_checks(n: int, corrupt_adjoint: bool):
     """Yield (name, passed, detail) for the built-in numerical checks."""
     from .conjugate import conjugate_point, source_derivatives
-    from .geometry import Ellipse, reflect
+    from .geometry import TWO_PI, Ellipse, dot2, reflect, reflect_rays, unit_vectors
 
     rng = np.random.default_rng(1234)
     img = GridImage.zeros(n)
@@ -433,6 +450,28 @@ def _selftest_checks(n: int, corrupt_adjoint: bool):
                 continue
             worst = max(worst, abs(float(np.linalg.det(event.jacobian)) - 1.0))
     yield "reflection det(d chi) = 1", worst < 1e-6, f"max|det-1|={worst:.2e}"
+
+    worst, disagree = 0.0, 0
+    for boundary in (Circle(1.0), Ellipse(1.4, 0.9)):
+        p = rng.uniform(-0.4, 0.4, size=(50, 2))
+        alpha = rng.uniform(0.0, 2 * math.pi, size=50)
+        v, w = unit_vectors(alpha)
+        rays = reflect_rays(boundary, dot2(w, p), alpha, dot2(v, p), jacobian=True)
+        for i in range(50):
+            try:
+                event = reflect(boundary, LineCoords.through(p[i], alpha[i]), p[i])
+            except BrokenRayError:
+                disagree += int(rays.ok[i])
+                continue
+            disagree += int(not rays.ok[i])
+            worst = max(worst, abs(rays.line_out.s[i] - event.line_out.s),
+                        abs(math.remainder(rays.line_out.alpha[i] - event.line_out.alpha, TWO_PI)),
+                        float(np.max(np.abs(rays.hit_point[i] - event.hit_point))),
+                        float(np.max(np.abs(rays.jacobian[i] - event.jacobian)
+                                     / (1.0 + np.abs(event.jacobian)))))
+    yield "batched reflection matches reflect", disagree == 0 and worst < 1e-12, (
+        f"{disagree} admissibility disagreements, max dev={worst:.2e}"
+    )
 
     worst = 0.0
     hits = 0

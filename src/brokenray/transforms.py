@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BrokenRayError, SupportViolation
+from .errors import SupportViolation
 from .geometry import (
     GRAZING_COS,
     TWO_PI,
@@ -40,7 +40,8 @@ from .geometry import (
     LineCoords,
     direction,
     normal,
-    reflect,
+    reflect,  # not called here: benchmark/tracing.py counts calls through this name
+    reflect_rays,
 )
 
 LAMBDA_SCALE = 1.0 / (4.0 * math.pi)
@@ -386,7 +387,8 @@ def _reflection_table(boundary: Boundary, family: Family, layout: SinogramLayout
     """Per-bin reflection data: admissible mask and chi(s, alpha) = (s2, a2).
 
     The circle gets the closed form (s is conserved, sin beta = s/R);
-    other boundaries reflect each bin through the generic reflection.
+    other boundaries reflect every bin in one batch, each from a source
+    4 s_max back along its line.  Bins that do not reflect hold zeros.
     """
     s = layout.s_centers
     alphas = layout.alphas
@@ -407,21 +409,10 @@ def _reflection_table(boundary: Boundary, family: Family, layout: SinogramLayout
         tau0 = (R * np.arctan2(-vy, vx)) % length
     else:
         length = boundary.length
-        ok = np.zeros(shape, dtype=bool)
-        s2, a2, sin_b, tau0 = (np.zeros(shape) for _ in range(4))
-        for m, alpha in enumerate(alphas):
-            for k in range(layout.n_s):
-                line = LineCoords(float(s[k]), float(alpha))
-                anchor = line.point_at(-4.0 * layout.s_max)
-                try:
-                    event = reflect(boundary, line, anchor)
-                except BrokenRayError:
-                    continue
-                ok[m, k] = True
-                sin_b[m, k] = math.sin(event.beta)
-                tau0[m, k] = event.tau0
-                s2[m, k] = event.line_out.s
-                a2[m, k] = event.line_out.alpha
+        rays = reflect_rays(boundary, s, alphas[:, None], -4.0 * layout.s_max)
+        ok = rays.ok
+        sin_b, tau0, s2, a2 = (np.where(ok, x, 0.0) for x in (
+            np.sin(rays.beta), rays.tau0, rays.line_out.s, rays.line_out.alpha))
     mask = ok & family.admits(s, alphas[:, None], sin_b, tau0, length)
     return mask, s2, a2
 
@@ -546,43 +537,4 @@ class ParallelRayOperator(RadonOperator):
 def _interior_support_mask(boundary: Boundary, img: GridImage, margin_px: float) -> np.ndarray:
     """Pixels safely inside the reflecting boundary (margin in pixels)."""
     X, Y = img.meshgrid()
-    margin = margin_px * img.dx
-    if isinstance(boundary, Circle):
-        return np.hypot(X, Y) <= boundary.radius - margin
-    from .geometry import Ellipse, Parabola
-
-    if isinstance(boundary, Ellipse):
-        shrink = 1.0 - margin / min(boundary.a, boundary.b)
-        return (X / boundary.a) ** 2 + (Y / boundary.b) ** 2 <= shrink**2
-    if isinstance(boundary, Parabola):
-        curve = -(X**2) / (4.0 * boundary.focal)
-        return (Y <= curve - margin) & (np.abs(X) <= boundary.x_max - margin)
-    # generic curve: distance to a dense polygonal sampling plus a
-    # crossing-number interior test
-    taus = np.linspace(0.0, boundary.length, 1024, endpoint=False)
-    pts = np.array([boundary.frame(t).point for t in taus])
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    queries = np.column_stack([X.ravel(), Y.ravel()])
-    d, _ = tree.query(queries)
-    inside = _points_in_polygon(pts, queries)
-    return (inside & (d >= margin)).reshape(X.shape)
-
-
-def _points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd rule crossing test, vectorized over edge chunks."""
-    x, y = pts[:, 0], pts[:, 1]
-    x0, y0 = poly[:, 0], poly[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    inside = np.zeros(len(pts), dtype=bool)
-    chunk = 64
-    for i in range(0, len(poly), chunk):
-        a0x, a0y = x0[i : i + chunk, None], y0[i : i + chunk, None]
-        a1x, a1y = x1[i : i + chunk, None], y1[i : i + chunk, None]
-        straddles = (a0y > y[None, :]) != (a1y > y[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = a0x + (y[None, :] - a0y) * (a1x - a0x) / (a1y - a0y)
-        hits = straddles & (x_cross > x[None, :])
-        inside ^= (np.sum(hits, axis=0) % 2).astype(bool)
-    return inside
+    return boundary.inside(X, Y, margin_px * img.dx)

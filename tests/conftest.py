@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from brokenray.errors import BrokenRayError
+from brokenray.conjugate import conjugate_point
+from brokenray.errors import (
+    BrokenRayError,
+    DegenerateDirection,
+    GrazingIncidence,
+    NoIntersection,
+)
 from brokenray.geometry import (
+    TWO_PI,
     Circle,
     Ellipse,
     LineCoords,
@@ -161,3 +168,102 @@ def loop_radon_adjoint(g, img, h):
             acc += np.bincount(base + shift, weights=row * w, minlength=acc.size)
     scale = layout.ds * layout.dalpha / img.dx**2
     return acc.reshape(width, width)[_PAD:-_PAD, _PAD:-_PAD] * scale
+
+
+# Reference geometry for the batched reflection of brokenray.geometry
+# (reflect_rays): the same computations one ray at a time through the
+# scalar reflect.
+
+
+def loop_reflection_table(boundary, family, layout):
+    """(mask, s2, a2) of ``transforms._reflection_table``, one bin at a time."""
+    s, alphas = layout.s_centers, layout.alphas
+    shape = (layout.n_alpha, layout.n_s)
+    ok = np.zeros(shape, dtype=bool)
+    s2, a2, sin_b, tau0 = (np.zeros(shape) for _ in range(4))
+    for m, alpha in enumerate(alphas):
+        for k in range(layout.n_s):
+            line = LineCoords(float(s[k]), float(alpha))
+            try:
+                event = reflect(boundary, line, line.point_at(-4.0 * layout.s_max))
+            except BrokenRayError:
+                continue
+            ok[m, k] = True
+            sin_b[m, k] = math.sin(event.beta)
+            tau0[m, k] = event.tau0
+            s2[m, k] = event.line_out.s
+            a2[m, k] = event.line_out.alpha
+    mask = ok & family.admits(s, alphas[:, None], sin_b, tau0, boundary.length)
+    return mask, s2, a2
+
+
+def _caustic_sample(p, boundary, alpha):
+    line = LineCoords.through(p, alpha)
+    try:
+        event = reflect(boundary, line, p)
+        q = conjugate_point(p, event)
+    except (NoIntersection, GrazingIncidence, DegenerateDirection):
+        return None
+    if q is None:
+        return None
+    t1 = event.t_hit - line.coord_of(p)
+    return q, t1 + float(np.dot(q - event.hit_point, event.line_out.v))
+
+
+def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10):
+    """(alphas, points, t, breaks) of ``conjugate.caustic_curve`` over the
+    full turn, one ray at a time, bisecting each interval depth-first."""
+    alphas = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
+    samples = [(a, _caustic_sample(p, boundary, a)) for a in alphas]
+    refined = []
+    for i in range(len(samples)):
+        refined.append(samples[i])
+        if i + 1 == len(samples):
+            break
+        stack = [(samples[i], samples[i + 1], 0)]
+        inserts = []
+        while stack:
+            (aa, ca), (ab, cb), depth = stack.pop()
+            if depth >= max_depth or ca is None or cb is None:
+                continue
+            if np.linalg.norm(ca[0] - cb[0]) <= refine_dist:
+                continue
+            am = 0.5 * (aa + ab)
+            cm = _caustic_sample(p, boundary, am)
+            inserts.append((am, cm))
+            stack.append(((aa, ca), (am, cm), depth + 1))
+            stack.append(((am, cm), (ab, cb), depth + 1))
+        refined.extend(sorted(inserts, key=lambda t: t[0]))
+    kept, breaks = [], []
+    previous_missing = False
+    for a, sample in refined:
+        if sample is None:
+            previous_missing = True
+            continue
+        if previous_missing and kept:
+            breaks.append(len(kept))
+        kept.append((a, sample[0], sample[1]))
+        previous_missing = False
+    return (np.array([k[0] for k in kept]), np.array([k[1] for k in kept]),
+            np.array([k[2] for k in kept]), breaks)
+
+
+def per_sample_tangent_locus(p, radius, n_samples):
+    """(alpha, t, points) of ``conjugate.tangent_conjugate_locus``, one
+    direction at a time."""
+    rows = []
+    for a in np.linspace(0.0, TWO_PI, n_samples, endpoint=False):
+        v, w = direction(a), normal(a)
+        s = float(np.dot(p, w))
+        t1 = -float(np.dot(p, v)) + math.sqrt(max(radius * radius - s * s, 0.0))
+        cb = math.sqrt(max(1.0 - (s / radius) ** 2, 0.0))
+        D = 2.0 * t1 / (radius * cb) - 1.0
+        if D <= 0.0:
+            continue
+        t = t1 + t1 / D
+        line = LineCoords.through(p, a)
+        event = reflect(Circle(radius), line, p)
+        t_hit = event.t_hit - line.coord_of(p)
+        rows.append((a, t, event.hit_point + (t - t_hit) * event.line_out.v))
+    return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows]))

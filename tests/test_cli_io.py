@@ -209,6 +209,23 @@ class TestCommands:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("old,new", [
+        ("\nn = 48\n", "\nn = abc\n"),
+        ("kind = circle\nradius = 1.0", "kind = ellipse\nb = 0.75"),
+        ("n_s = 48", "n_s = 0"),
+        ("radius = 1.0", "radius = -1"),
+    ], ids=["non-numeric-n", "ellipse-without-a", "zero-n_s", "negative-radius"])
+    def test_bad_config_is_config_error(self, old, new, tmp_path, capsys):
+        assert old in SMALL_CONFIG
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SMALL_CONFIG.replace(old, new))
+        rc = main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_predict_smoke(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(SMALL_CONFIG)

@@ -24,9 +24,17 @@ from brokenray.errors import (
     DegenerateDirection,
     EmptyCaustic,
 )
-from brokenray.geometry import Circle, LineCoords, Parabola, direction, normal, reflect
+from brokenray.geometry import (
+    Circle,
+    Ellipse,
+    LineCoords,
+    Parabola,
+    direction,
+    normal,
+    reflect,
+)
 
-from conftest import random_admissible_events
+from conftest import depth_first_caustic, per_sample_tangent_locus, random_admissible_events
 
 
 def envelope_intersection(boundary, p, alpha, dalpha=1e-4):
@@ -268,7 +276,59 @@ class TestCaustic:
             )
 
 
+SQUARE_ORBIT = math.cos(math.pi / 4.0)
+CAUSTIC_CASES = {
+    # the AC-3 source, and a source on the square-orbit radius
+    "circle-ac3": (Circle(1.0), (0.5, 0.0), 60, 2.0 / 32),
+    "circle-square-orbit": (Circle(1.0), (SQUARE_ORBIT * math.cos(0.7),
+                                         SQUARE_ORBIT * math.sin(0.7)), 90, 2.0 / 32),
+    "ellipse": (Ellipse(1.4, 0.9), (0.3, 0.2), 60, 2.0 / 32),
+    "parabola": (Parabola(focal=1.0, x_max=4.0), (0.0, -3.0), 60, 0.05),
+}
+
+
+class TestBatchedCaustic:
+    @pytest.mark.parametrize("case", sorted(CAUSTIC_CASES))
+    def test_matches_depth_first_oracle(self, case):
+        boundary, p, n, refine = CAUSTIC_CASES[case]
+        p = np.array(p)
+        alphas, q, t, breaks = depth_first_caustic(p, boundary, n, refine)
+        cc = caustic_curve(p, boundary, n_samples=n, refine_dist=refine)
+        np.testing.assert_array_equal([cp.alpha for cp in cc.points], alphas)
+        assert cc.breaks == breaks
+        got_q = np.array([cp.point for cp in cc.points])
+        got_t = np.array([cp.t for cp in cc.points])
+        # q moves as 1/(d a2/d a1), so its rounding grows as |q|^2
+        reach = np.linalg.norm(q, axis=1)
+        assert np.all(np.linalg.norm(got_q - q, axis=1) <= 1e-12 * (1.0 + reach**2))
+        assert np.all(np.abs(got_t - t) <= 1e-12 * (1.0 + t**2))
+
+    def test_flags_points_outside_every_mirror(self):
+        ell = Ellipse(1.4, 0.9)
+        cc = caustic_curve(np.array([0.3, 0.2]), ell, n_samples=60, refine_dist=2.0 / 32)
+        q = np.array([cp.point for cp in cc.points])
+        outside = (q[:, 0] / 1.4) ** 2 + (q[:, 1] / 0.9) ** 2 > 1.0
+        assert 0 < outside.sum() < len(q)
+        np.testing.assert_array_equal([cp.outside_domain for cp in cc.points], outside)
+        par = Parabola(focal=1.0, x_max=4.0)
+        cc = caustic_curve(np.array([0.0, -3.0]), par, n_samples=60, refine_dist=0.05)
+        q = np.array([cp.point for cp in cc.points])
+        outside = (q[:, 1] > -q[:, 0] ** 2 / 4.0) | (np.abs(q[:, 0]) > 4.0)
+        assert 0 < outside.sum() < len(q)
+        np.testing.assert_array_equal([cp.outside_domain for cp in cc.points], outside)
+
+
 class TestTangentLocus:
+    @pytest.mark.parametrize("p", [(0.5, 0.0), (0.3, -0.55)])
+    def test_matches_per_sample_oracle(self, p):
+        p = np.array(p)
+        alpha, t, pts = per_sample_tangent_locus(p, 1.0, 2048)
+        locus = tangent_conjugate_locus(p, 1.0)
+        np.testing.assert_array_equal(locus.alpha, alpha)
+        assert np.all(np.abs(locus.t - t) <= 1e-12 * (1.0 + np.abs(t)))
+        reach = np.linalg.norm(pts, axis=1)
+        assert np.all(np.linalg.norm(locus.points - pts, axis=1) <= 1e-12 * (1.0 + reach))
+
     def test_zero_kinds_for_offset_source(self):
         locus = tangent_conjugate_locus(np.array([0.5, 0.0]), radius=1.0)
         kinds = sorted(z.kind for z in locus.zeros)

@@ -107,6 +107,15 @@ class TestFrames:
             assert other.line_out.s == pytest.approx(event.line_out.s, abs=1e-5)
             assert other.beta == pytest.approx(event.beta, abs=1e-5)
 
+    def test_tau_of_u_matches_quadrature(self):
+        from scipy.integrate import quad
+
+        ell = Ellipse(1.4, 0.9)
+        u = np.random.default_rng(67).uniform(-0.5, 1.5, 25) * 2.0 * math.pi
+        expected = [quad(ell._speed, 0.0, x, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                    for x in u]
+        np.testing.assert_allclose(ell.tau_of_u(u), expected, rtol=0, atol=1e-10)
+
     def test_parabola_extent_error(self, parabola):
         with pytest.raises(ValueError):
             parabola.frame(parabola.length)

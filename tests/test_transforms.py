@@ -5,7 +5,15 @@ import pytest
 
 from brokenray import transforms
 from brokenray.errors import SupportViolation
-from brokenray.geometry import Circle, Ellipse, LineCoords, normal, reflect
+from brokenray.geometry import (
+    Circle,
+    Ellipse,
+    LineCoords,
+    Parabola,
+    SampledCurve,
+    normal,
+    reflect,
+)
 from brokenray.transforms import (
     BrokenRayOperator,
     Family,
@@ -20,7 +28,7 @@ from brokenray.transforms import (
     radon_adjoint,
     sino_inner,
 )
-from conftest import loop_radon, loop_radon_adjoint
+from conftest import loop_radon, loop_radon_adjoint, loop_reflection_table, star_curve_points
 
 
 def gaussian_image(n=128, half_width=1.0, center=(0.0, 0.0), sigma=0.1, amp=1.0):
@@ -502,10 +510,33 @@ class TestOneOperator:
         def broken(*args):
             raise RuntimeError("bug in reflect")
 
-        monkeypatch.setattr(transforms, "reflect", broken)
+        monkeypatch.setattr(transforms, "reflect_rays", broken)
         with pytest.raises(RuntimeError):
             BrokenRayOperator(Ellipse(1.4, 0.9), Family.full(), GridImage.zeros(16),
                               SinogramLayout(4, 4, 1.5))
+
+
+TABLE_MIRRORS = {
+    "circle": (Circle(1.0), SinogramLayout(48, 60, 1.25)),
+    "ellipse": (Ellipse(1.4, 0.9), SinogramLayout(32, 48, 1.5)),
+    "parabola": (Parabola(focal=1.0, x_max=4.0), SinogramLayout(24, 32, 2.0)),
+    "star": (SampledCurve(star_curve_points()), SinogramLayout(12, 16, 1.2)),
+}
+
+
+class TestBatchedReflectionTable:
+    @pytest.mark.parametrize("family", ["full", "arc"])
+    @pytest.mark.parametrize("mirror", sorted(TABLE_MIRRORS))
+    def test_matches_per_bin_oracle(self, mirror, family):
+        boundary, lay = TABLE_MIRRORS[mirror]
+        fam = Family.full() if family == "full" else Family.boundary_arc(0.5, 3.0)
+        mask, s2, a2 = transforms._reflection_table(boundary, fam, lay)
+        ref_mask, ref_s2, ref_a2 = loop_reflection_table(boundary, fam, lay)
+        assert 0 < ref_mask.sum() < ref_mask.size
+        np.testing.assert_array_equal(mask, ref_mask)
+        assert np.max(np.abs(s2 - ref_s2)[mask]) <= 1e-12
+        da2 = np.abs((a2 - ref_a2 + math.pi) % (2.0 * math.pi) - math.pi)
+        assert np.max(da2[mask]) <= 1e-12
 
 
 class TestFBPIdentity:
