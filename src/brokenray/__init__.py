@@ -35,6 +35,7 @@ from .errors import (
     GrazingIncidence,
     NoIntersection,
     SupportViolation,
+    ZeroOperator,
     ZeroReference,
 )
 from .geometry import (
@@ -46,7 +47,6 @@ from .geometry import (
     ReflectionEvent,
     SampledCurve,
     intersect_ray,
-    make_boundary,
     reflect,
     reflect_rays,
     reflection_jacobian,

@@ -3,14 +3,18 @@
 Subcommands
 -----------
 forward      render the phantom, apply the configured transform, write the
-             sinogram and a manifest
+             sinogram and start the run's manifest
 reconstruct  run FBP or Landweber, write images (text + PGM), the error
              map and the relative error
 predict      write caustic / chain / polygon-radius CSVs for overlay
 selftest     run the built-in numerical checks
 
-Configs are flat INI files; see ``example_config`` for the full key set.
-Exit codes: 0 success, 1 configuration error, 2 numerical check failure.
+Configs are flat INI files (see the README for every key, its default and
+its check).  Loading a config converts and checks every key it uses, so a
+malformed config is rejected before any output is written; unknown keys
+are ignored.
+Exit codes: 0 success, 1 configuration error (rejected at load),
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .conjugate import (
     tangent_conjugate_locus,
 )
 from .errors import BrokenRayError, ConfigError
-from .geometry import Circle, LineCoords, make_boundary, normal
+from .geometry import Circle, Ellipse, LineCoords, Parabola, SampledCurve, normal
 from .phantoms import PhantomSpec, clip_to_boundary, render
 from .reconstruct import (
     LandweberConfig,
@@ -61,7 +65,6 @@ from .transforms import (
 DEFAULT_CONFIG = """\
 [experiment]
 name = disk_fbp
-seed = 7
 
 [grid]
 n = 256
@@ -91,193 +94,220 @@ support_mask = none
 record_every = 0
 """
 
+_REQUIRED = object()  # the default of a key that has none
+
+
+def _point(text: str) -> tuple:
+    x, y = text.split()
+    return float(x), float(y)
+
+
+def _disk_radius(text: str) -> float:
+    if not text.startswith("disk:"):
+        raise ValueError(text)
+    return float(text[len("disk:"):])
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", _point: "two numbers",
+               _disk_radius: "disk:<radius>"}
+
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """An experiment description over a parsed INI file.
+
+    Each section has one resolver, the only code that reads its keys: it
+    converts them, applies their defaults and raises ConfigError on a
+    malformed value.  Construction runs every resolver once, so a config
+    that loads is well formed.  Nothing resolved is kept: each call reads
+    the parser again.
+    """
 
     parser: configparser.ConfigParser
     path: str = "<builtin>"
 
+    def __post_init__(self):
+        # a malformed key raises here, before any command writes output
+        self.name, self.sino_layout(), self.boundary(), self.family(), self.phantom()
+        self.reconstruction(), self.prediction()
+
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
-        cfg = cls(parser, str(path))
-        cfg.validate()
-        return cfg
+        return cls(parser, str(path))
 
     @classmethod
     def from_string(cls, text: str) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
         parser.read_string(text)
-        cfg = cls(parser)
-        cfg.validate()
-        return cfg
+        return cls(parser)
 
     def serialize(self) -> str:
         buf = _io.StringIO()
         self.parser.write(buf)
         return buf.getvalue()
 
-    def get(self, section, key, fallback=None):
-        return self.parser.get(section, key, fallback=fallback)
-
-    def getfloat(self, section, key, fallback=None):
-        return self.parser.getfloat(section, key, fallback=fallback)
-
-    def getint(self, section, key, fallback=None):
-        return self.parser.getint(section, key, fallback=fallback)
-
-    # -- resolved pieces ---------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.get("experiment", "name", "experiment")
-
-    @property
-    def seed(self) -> int:
-        return self.getint("experiment", "seed", 0)
-
-    def _check_positive(self, section, key, kind=float, required=False) -> None:
-        raw = self.get(section, key)
+    def _read(self, section, key, kind, default=_REQUIRED, positive=False, least=None,
+              choices=None):
+        """The value of [section] key converted by ``kind`` (str, int,
+        float, _point or _disk_radius), or ``default`` when the key is
+        absent.  A value in ``choices`` is returned as written, and a str
+        key must be one of them.  Numbers must be finite, and positive or
+        at least ``least`` when asked."""
+        # only a value with a % interpolates, and the raw lookup is half the cost
+        raw = self.parser.get(section, key, raw=True, fallback=None)
+        if raw is not None and "%" in raw:
+            raw = self.parser.get(section, key)
+        where = f"[{section}] {key}"
         if raw is None:
-            if required:
-                raise ConfigError(f"[{section}] needs {key}")
-            return
+            if default is _REQUIRED:
+                raise ConfigError(f"{where} is required")
+            return default
+        if choices is not None and raw in choices:
+            return raw
+        if kind is str:
+            if choices is not None:
+                raise ConfigError(f"{where} = {raw!r} is not one of {', '.join(choices)}")
+            return raw
         try:
             value = kind(raw)
         except ValueError:
-            kind_name = "an integer" if kind is int else "a number"
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind_name}") from None
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"[{section}] {key} must be positive, got {raw!r}")
+            raise ConfigError(f"{where} = {raw!r} is not {_KIND_NAMES[kind]}") from None
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{where} = {raw!r} is not finite")
+        if positive and value <= 0:
+            raise ConfigError(f"{where} must be positive, got {raw!r}")
+        if least is not None and value < least:
+            raise ConfigError(f"{where} must be at least {least}, got {raw!r}")
+        return value
 
-    def validate(self) -> None:
-        for key in ("n", "n_s", "n_alpha"):
-            self._check_positive("grid", key, int)
-        for key in ("half_width", "s_max"):
-            self._check_positive("grid", key)
-        fam = self.get("family", "kind", "full")
-        if fam not in ("full", "half_plane", "arc", "local", "parallel"):
-            raise ConfigError(f"unknown family kind {fam!r}")
-        bnd = self.get("boundary", "kind", "circle")
-        if bnd not in ("circle", "ellipse", "parabola", "generic", "none"):
-            raise ConfigError(f"unknown boundary kind {bnd!r}")
-        for key, required in {"circle": [("radius", False)],
-                              "ellipse": [("a", True), ("b", True)],
-                              "parabola": [("focal", False), ("x_max", False)]}.get(bnd, []):
-            self._check_positive("boundary", key, required=required)
-        if bnd == "generic":
-            csv = self.get("boundary", "csv")
-            if csv is None or not Path(csv).exists():
-                raise ConfigError("generic boundary needs an existing csv file")
-        ph = self.get("phantom", "kind", "gaussian")
-        if ph not in ("gaussian", "coherent", "shepp_logan"):
-            raise ConfigError(f"unknown phantom kind {ph!r}")
-        method = self.get("reconstruct", "method", "fbp")
-        if method not in ("fbp", "landweber"):
-            raise ConfigError(f"unknown reconstruction method {method!r}")
-        if method == "landweber" and self.getint("reconstruct", "iterations", 100) < 1:
-            raise ConfigError("landweber needs iterations >= 1")
+    # -- one resolver per section ----------------------------------------
+
+    @property
+    def name(self) -> str:
+        return self._read("experiment", "name", str, "experiment")
 
     def image_layout(self) -> GridImage:
-        return GridImage.zeros(
-            self.getint("grid", "n", 128), self.getfloat("grid", "half_width", 1.0)
-        )
+        return GridImage.zeros(self._read("grid", "n", int, 128, positive=True),
+                               self._read("grid", "half_width", float, 1.0, positive=True))
 
     def sino_layout(self) -> SinogramLayout:
-        n = self.getint("grid", "n", 128)
+        img = self.image_layout()
         return SinogramLayout(
-            self.getint("grid", "n_s", n),
-            self.getint("grid", "n_alpha", 360),
-            self.getfloat("grid", "s_max", self.getfloat("grid", "half_width", 1.0)),
+            self._read("grid", "n_s", int, img.n, positive=True),
+            self._read("grid", "n_alpha", int, 360, positive=True),
+            self._read("grid", "s_max", float, img.x_max, positive=True),
         )
 
     def boundary(self):
-        kind = self.get("boundary", "kind", "circle")
-        if kind == "none":
-            return None
-        params = dict(self.parser.items("boundary"))
-        params.pop("kind", None)
+        """The mirror, or None for ``kind = none``."""
+        kind = self._read("boundary", "kind", str, "circle",
+                          choices=("circle", "ellipse", "parabola", "generic", "none"))
+        if kind == "circle":
+            return Circle(self._read("boundary", "radius", float, 1.0, positive=True))
+        if kind == "ellipse":
+            return Ellipse(self._read("boundary", "a", float, positive=True),
+                           self._read("boundary", "b", float, positive=True))
         if kind == "parabola":
-            return make_boundary(
-                kind,
-                focal=self.getfloat("boundary", "focal", 1.0),
-                x_max=self.getfloat("boundary", "x_max", 4.0),
-            )
-        return make_boundary(kind, **params)
+            return Parabola(self._read("boundary", "focal", float, 1.0, positive=True),
+                            self._read("boundary", "x_max", float, 4.0, positive=True))
+        if kind == "generic":
+            csv = self._read("boundary", "csv", str)
+            try:
+                return SampledCurve.from_csv(csv)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"[boundary] csv = {csv!r}: {exc}") from None
+        return None
 
-    def family(self) -> Family | None:
-        kind = self.get("family", "kind", "full")
-        if kind == "full":
-            return Family.full()
+    def family(self) -> tuple[str, Family | float]:
+        """The family kind and what it builds: the Family of admitted
+        mirror rays, or the offset d of the parallel-ray transform."""
+        kind = self._read("family", "kind", str, "full",
+                          choices=("full", "half_plane", "arc", "local", "parallel"))
+        if kind == "parallel":
+            return kind, self._read("family", "offset", float, 0.6)
         if kind == "half_plane":
-            return Family.half_plane_incoming(self.getfloat("family", "direction", 0.0))
+            return kind, Family.half_plane_incoming(self._read("family", "direction", float, 0.0))
         if kind == "arc":
-            return Family.boundary_arc(
-                self.getfloat("family", "tau_min"), self.getfloat("family", "tau_max")
-            )
+            return kind, Family.boundary_arc(self._read("family", "tau_min", float),
+                                             self._read("family", "tau_max", float))
         if kind == "local":
-            line = LineCoords(
-                self.getfloat("family", "s0"), self.getfloat("family", "alpha0")
-            )
-            return Family.local(
-                line,
-                self.getfloat("family", "ds", 0.2),
-                self.getfloat("family", "dalpha", 0.3),
-            )
-        return None  # parallel
+            line = LineCoords(self._read("family", "s0", float),
+                              self._read("family", "alpha0", float))
+            return kind, Family.local(line,
+                                      self._read("family", "ds", float, 0.2, positive=True),
+                                      self._read("family", "dalpha", float, 0.3, positive=True))
+        return kind, Family.full()
 
-    def phantom(self) -> PhantomSpec:
-        kind = self.get("phantom", "kind", "gaussian")
-        center = tuple(float(t) for t in self.get("phantom", "center", "0 0").split())
-        amp = self.getfloat("phantom", "amplitude", 1.0)
+    def phantom(self) -> tuple[PhantomSpec, float]:
+        """The phantom and its clip margin, in pixels, from the mirror."""
+        kind = self._read("phantom", "kind", str, "gaussian",
+                          choices=("gaussian", "coherent", "shepp_logan"))
+        cx, cy = center = self._read("phantom", "center", _point, (0.0, 0.0))
+        img = self.image_layout()
+        if not (img.x_min <= cx <= img.x_max and img.y_min <= cy <= img.y_max):
+            raise ConfigError(f"[phantom] center = {cx:g} {cy:g} lies outside the window")
+        theta = self._read("phantom", "theta", float, 0.0)
+        sigma = self._read("phantom", "sigma", float, 0.05, positive=True)
+        wavenumber = self._read("phantom", "wavenumber", float, 80.0, least=0.0)
+        amp = self._read("phantom", "amplitude", float, 1.0)
+        margin = self._read("phantom", "clip_margin_px", float, 2.0)
         if kind == "gaussian":
-            return PhantomSpec.gaussian(center, self.getfloat("phantom", "sigma", 0.05), amp)
+            return PhantomSpec.gaussian(center, sigma, amp), margin
         if kind == "coherent":
-            return PhantomSpec.coherent(
-                center,
-                self.getfloat("phantom", "theta", 0.0),
-                self.getfloat("phantom", "sigma", 0.05),
-                self.getfloat("phantom", "wavenumber", 80.0),
-                amp,
-            )
-        return PhantomSpec.shepp_logan(
-            center, self.getfloat("phantom", "theta", 0.0), amp
+            return PhantomSpec.coherent(center, theta, sigma, wavenumber, amp), margin
+        return PhantomSpec.shepp_logan(center, theta, amp), margin
+
+    def reconstruction(self) -> tuple[str, LandweberConfig]:
+        """The method and the Landweber settings (FBP uses none of them)."""
+        method = self._read("reconstruct", "method", str, "fbp", choices=("fbp", "landweber"))
+        iterations = self._read("reconstruct", "iterations", int, 100,
+                                least=1 if method == "landweber" else None)
+        step = self._read("reconstruct", "step_size", float, "auto", positive=True,
+                          choices=("auto", ""))
+        radius = self._read("reconstruct", "support_mask", _disk_radius, "none",
+                            positive=True, choices=("none",))
+        mask = None
+        if radius != "none":
+            img = self.image_layout()
+            mask = (np.hypot(img.x_centers, img.y_centers[:, None]) <= radius).astype(float)
+        return method, LandweberConfig(
+            step_size=None if isinstance(step, str) else step,
+            n_iters=iterations,
+            support_mask=mask,
+            record_every=self._read("reconstruct", "record_every", int, 0, least=0),
         )
 
-    def operator(self):
+    def prediction(self) -> tuple[int, int, int]:
+        """(n_samples, max_index, n_max): the caustic's initial samples, the
+        chain's length each way and the polygon radii's largest half-order."""
+        return (self._read("predict", "n_samples", int, 720, least=2),
+                self._read("predict", "max_index", int, 64, least=1),
+                self._read("predict", "n_max", int, 5, least=2))
+
+    # -- built from the resolvers ----------------------------------------
+
+    def operator(self) -> RadonOperator:
         img = self.image_layout()
         sino = self.sino_layout()
-        fam_kind = self.get("family", "kind", "full")
-        if fam_kind == "parallel":
-            return ParallelRayOperator(self.getfloat("family", "offset", 0.6), img, sino)
+        kind, family = self.family()
+        if kind == "parallel":
+            return ParallelRayOperator(family, img, sino)
         boundary = self.boundary()
         if boundary is None:
             return RadonOperator(img, sino)
-        return BrokenRayOperator(boundary, self.family(), img, sino)
+        return BrokenRayOperator(boundary, family, img, sino)
 
     def rendered_phantom(self) -> GridImage:
-        img = render(self.phantom(), self.image_layout())
+        spec, margin = self.phantom()
+        img = render(spec, self.image_layout())
         boundary = self.boundary()
-        if boundary is not None and self.get("family", "kind", "full") != "parallel":
-            img = clip_to_boundary(
-                img, boundary, self.getfloat("phantom", "clip_margin_px", 2.0)
-            )
+        if boundary is not None and self.family()[0] != "parallel":
+            img = clip_to_boundary(img, boundary, margin)
         return img
-
-    def support_mask(self, img: GridImage):
-        spec = self.get("reconstruct", "support_mask", "none")
-        if spec == "none":
-            return None
-        if spec.startswith("disk:"):
-            r = float(spec.split(":", 1)[1])
-            X, Y = img.meshgrid()
-            return (np.hypot(X, Y) <= r).astype(float)
-        raise ConfigError(f"unknown support mask spec {spec!r}")
 
 
 def _out_dir(args, cfg) -> Path:
@@ -286,12 +316,15 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
-def _base_manifest(cfg) -> dict:
-    return {
-        "experiment": cfg.name,
-        "seed": cfg.seed,
-        "config": cfg.path,
-    }
+def _record(out: Path, cfg, entries: dict, start: bool = False) -> None:
+    """Write ``entries`` to the run's manifest.  ``forward`` starts it; the
+    later commands merge their keys into what is there, and leave the file
+    as it is when that changes nothing."""
+    path = out / "manifest.txt"
+    old = {} if start or not path.exists() else brio.read_manifest(path)
+    manifest = {**old, "experiment": cfg.name, "config": cfg.path, **entries}
+    if manifest != old:
+        brio.write_manifest(path, manifest)
 
 
 def cmd_forward(cfg: ExperimentConfig, args) -> int:
@@ -304,15 +337,11 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     brio.save_image(out / "phantom.txt", f)
     brio.save_pgm(out / "phantom.pgm", f)
     brio.save_sinogram(out / "sinogram.txt", g)
-    manifest = _base_manifest(cfg)
-    manifest.update(
-        {
-            "family": cfg.get("family", "kind", "full"),
-            "masked_bins": int(np.sum(~g.mask)),
-            "elapsed_s": f"{time.time() - t0:.3f}",
-        }
-    )
-    brio.write_manifest(out / "manifest.txt", manifest)
+    _record(out, cfg, {
+        "family": cfg.family()[0],
+        "masked_bins": int(np.sum(~g.mask)),
+        "forward_elapsed_s": f"{time.time() - t0:.3f}",
+    }, start=True)
     (out / "config_resolved.ini").write_text(cfg.serialize())
     print(f"forward: wrote {out/'sinogram.txt'}")
     return 0
@@ -324,27 +353,16 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     f_true = cfg.rendered_phantom()
     op.check_support_of(f_true)
     g = op.forward(f_true)
-    manifest = _base_manifest(cfg)
-    method = cfg.get("reconstruct", "method", "fbp")
+    method, lw_cfg = cfg.reconstruction()
+    entries = {"method": method}
     t0 = time.time()
     if method == "fbp":
         rec = fbp(g, op)
-        manifest["method"] = "fbp"
     else:
-        step_raw = cfg.get("reconstruct", "step_size", "auto")
-        gamma = None if step_raw in ("auto", "", None) else float(step_raw)
-        mask = cfg.support_mask(f_true)
-        lw_cfg = LandweberConfig(
-            step_size=gamma,
-            n_iters=cfg.getint("reconstruct", "iterations", 100),
-            support_mask=mask,
-            record_every=cfg.getint("reconstruct", "record_every", 0),
-        )
         result = landweber(g, op, lw_cfg)
         rec = result.final
-        manifest.update(
+        entries.update(
             {
-                "method": "landweber",
                 "gamma": f"{result.gamma:.8g}",
                 "iterations": result.n_iters,
                 "residual_first": f"{result.residuals[0]:.8g}",
@@ -358,16 +376,16 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
         brio.save_pgm(out / "backprojection_f1.pgm", result.first)
     err = error_map(f_true, rec)
     e = relative_error(f_true, rec)
-    manifest["relative_error"] = f"{e:.8g}"
-    manifest["sup_error"] = f"{float(np.max(np.abs(err.data))):.8g}"
-    manifest["elapsed_s"] = f"{time.time() - t0:.3f}"
+    entries["relative_error"] = f"{e:.8g}"
+    entries["sup_error"] = f"{float(np.max(np.abs(err.data))):.8g}"
+    entries["reconstruct_elapsed_s"] = f"{time.time() - t0:.3f}"
     brio.save_image(out / "phantom.txt", f_true)
     brio.save_pgm(out / "phantom.pgm", f_true)
     brio.save_image(out / "reconstruction.txt", rec)
     brio.save_pgm(out / "reconstruction.pgm", rec)
     brio.save_image(out / "error_map.txt", err)
     brio.save_pgm(out / "error_map.pgm", err)
-    brio.write_manifest(out / "manifest.txt", manifest)
+    _record(out, cfg, entries)
     (out / "config_resolved.ini").write_text(cfg.serialize())
     print(f"reconstruct[{method}]: relative error e = {e:.4g}; wrote {out}")
     return 0
@@ -376,34 +394,33 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
 def cmd_predict(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(args, cfg)
     boundary = cfg.boundary()
-    spec = cfg.phantom()
+    spec, _ = cfg.phantom()
     img = cfg.image_layout()
+    n_samples, max_index, n_max = cfg.prediction()
     wrote = []
     if boundary is not None:
         source = np.asarray(spec.center, dtype=float)
-        curve = caustic_curve(
-            source, boundary, n_samples=cfg.getint("predict", "n_samples", 720),
-            refine_dist=2.0 * img.dx,
-        )
+        curve = caustic_curve(source, boundary, n_samples=n_samples, refine_dist=2.0 * img.dx)
         brio.save_caustic_csv(out / "caustic.csv", curve)
         wrote.append("caustic.csv")
-        if isinstance(boundary, Circle):
+        dist = np.linalg.norm(source)
+        # the chain needs a source inside the circle, the locus one off its centre
+        if isinstance(boundary, Circle) and dist < boundary.radius:
             cv = Covector(source, normal(spec.theta))
-            chain = conjugate_chain(cv, boundary.radius,
-                                    cfg.getint("predict", "max_index", 64))
+            chain = conjugate_chain(cv, boundary.radius, max_index)
             brio.save_chain_csv(out / "chain.csv", chain)
             wrote.append("chain.csv")
-            if np.linalg.norm(source) > 1e-9:
+            if dist > 1e-9:
                 locus = tangent_conjugate_locus(source, boundary.radius)
                 brio.save_locus_csv(out / "tangent_locus.csv", locus)
                 wrote.append("tangent_locus.csv")
-    radii = polygon_artifact_radii(cfg.getint("predict", "n_max", 5))
+    radii = polygon_artifact_radii(n_max)
     with open(out / "polygon_radii.csv", "w") as fh:
         fh.write("radius,p,q\n")
         for r in radii:
             fh.write(f"{r.radius:.12g},{r.p},{r.q}\n")
     wrote.append("polygon_radii.csv")
-    brio.write_manifest(out / "manifest.txt", _base_manifest(cfg))
+    _record(out, cfg, {})
     print(f"predict: wrote {', '.join(wrote)} in {out}")
     return 0
 
@@ -513,14 +530,8 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 2
 
 
-def example_config() -> str:
-    """Reference configuration with every recognized key."""
-    return DEFAULT_CONFIG
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="brokenray", description=__doc__)
-    ap.add_argument("--seed", type=int, default=None, help="override config seed")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("forward", "reconstruct", "predict"):
         p = sub.add_parser(name)
@@ -536,8 +547,6 @@ def main(argv=None) -> int:
         return cmd_selftest(args)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.parser.set("experiment", "seed", str(args.seed))
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -547,9 +556,6 @@ def main(argv=None) -> int:
         if args.command == "reconstruct":
             return cmd_reconstruct(cfg, args)
         return cmd_predict(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except BrokenRayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,10 @@ class DivergenceDetected(BrokenRayError):
     """The iteration residual grew repeatedly; the step size is too large."""
 
 
+class ZeroOperator(BrokenRayError):
+    """The operator maps every image to zero, e.g. its family admits no bin."""
+
+
 class ZeroReference(BrokenRayError):
     """Relative error against an identically-zero reference image."""
 

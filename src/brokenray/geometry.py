@@ -725,20 +725,3 @@ def reflect_line_map(boundary: Boundary, s: float, alpha: float, t_anchor: float
     event = reflect(boundary, line, line.point_at(t_anchor))
     return event.line_out.s, event.alpha2_raw
 
-
-def make_boundary(kind: str, **params) -> Boundary:
-    """Boundary factory used by the experiment configuration."""
-    kind = kind.lower()
-    if kind == "circle":
-        return Circle(radius=float(params.get("radius", 1.0)))
-    if kind == "ellipse":
-        return Ellipse(a=float(params["a"]), b=float(params["b"]))
-    if kind == "parabola":
-        return Parabola(
-            focal=float(params["focal"]), x_max=float(params.get("x_max", 4.0))
-        )
-    if kind == "generic":
-        if "points" in params:
-            return SampledCurve(params["points"])
-        return SampledCurve.from_csv(params["csv"])
-    raise ValueError(f"unknown boundary kind {kind!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceDetected, EmptyLocus, ZeroReference
+from .errors import DivergenceDetected, EmptyLocus, ZeroOperator, ZeroReference
 from .transforms import (
     GridImage,
     Sinogram,
@@ -69,6 +69,8 @@ def step_size_estimate(op, n_steps: int = 30, seed: int = 0, return_history: boo
     for _ in range(n_steps):
         y = op.adjoint(lambda_filter(op.forward(x), power=1.0))
         lam = float(np.linalg.norm(y.data) / np.linalg.norm(x.data))
+        if lam == 0.0:
+            raise ZeroOperator("B* Lambda B maps the start vector to zero: no bin is admitted")
         history.append(lam)
         x = x.copy_with(y.data / np.linalg.norm(y.data))
     gamma = 1.0 / lam

@@ -465,7 +465,7 @@ class RadonOperator:
         peak = float(np.max(np.abs(f.data)))
         if peak == 0.0:
             return
-        outside = float(np.max(np.abs(f.data[~self._support_ok])))
+        outside = float(np.max(np.abs(f.data[~self._support_ok]), initial=0.0))
         if outside > 1e-9 * peak:
             raise SupportViolation(
                 "image does not vanish within the margin of the reflecting boundary"
