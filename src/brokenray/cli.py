@@ -128,8 +128,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a malformed key raises here, before any command writes output
-        self.name, self.sino_layout(), self.boundary(), self.family(), self.phantom()
-        self.reconstruction(), self.prediction()
+        self.name, self.sino_layout(), self.boundary(), self.family(), self.parallel_offset()
+        self.phantom(), self.reconstruction(), self.prediction()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -156,10 +156,7 @@ class ExperimentConfig:
         absent.  A value in ``choices`` is returned as written, and a str
         key must be one of them.  Numbers must be finite, and positive or
         at least ``least`` when asked."""
-        # only a value with a % interpolates, and the raw lookup is half the cost
-        raw = self.parser.get(section, key, raw=True, fallback=None)
-        if raw is not None and "%" in raw:
-            raw = self.parser.get(section, key)
+        raw = self.parser.get(section, key, fallback=None)
         where = f"[{section}] {key}"
         if raw is None:
             if default is _REQUIRED:
@@ -222,25 +219,36 @@ class ExperimentConfig:
                 raise ConfigError(f"[boundary] csv = {csv!r}: {exc}") from None
         return None
 
-    def family(self) -> tuple[str, Family | float]:
-        """The family kind and what it builds: the Family of admitted
-        mirror rays, or the offset d of the parallel-ray transform."""
-        kind = self._read("family", "kind", str, "full",
+    @property
+    def family_kind(self) -> str:
+        return self._read("family", "kind", str, "full",
                           choices=("full", "half_plane", "arc", "local", "parallel"))
+
+    def family(self) -> Family | None:
+        """The Family of admitted mirror rays, or None for the parallel-ray
+        transform."""
+        kind = self.family_kind
         if kind == "parallel":
-            return kind, self._read("family", "offset", float, 0.6)
+            return None
         if kind == "half_plane":
-            return kind, Family.half_plane_incoming(self._read("family", "direction", float, 0.0))
+            return Family.half_plane_incoming(self._read("family", "direction", float, 0.0))
         if kind == "arc":
-            return kind, Family.boundary_arc(self._read("family", "tau_min", float),
-                                             self._read("family", "tau_max", float))
+            return Family.boundary_arc(self._read("family", "tau_min", float),
+                                       self._read("family", "tau_max", float))
         if kind == "local":
             line = LineCoords(self._read("family", "s0", float),
                               self._read("family", "alpha0", float))
-            return kind, Family.local(line,
-                                      self._read("family", "ds", float, 0.2, positive=True),
-                                      self._read("family", "dalpha", float, 0.3, positive=True))
-        return kind, Family.full()
+            return Family.local(line,
+                                self._read("family", "ds", float, 0.2, positive=True),
+                                self._read("family", "dalpha", float, 0.3, positive=True))
+        return Family.full()
+
+    def parallel_offset(self) -> float | None:
+        """The offset d of the parallel-ray transform, or None for a mirror
+        family."""
+        if self.family_kind != "parallel":
+            return None
+        return self._read("family", "offset", float, 0.6)
 
     def phantom(self) -> tuple[PhantomSpec, float]:
         """The phantom and its clip margin, in pixels, from the mirror."""
@@ -293,19 +301,19 @@ class ExperimentConfig:
     def operator(self) -> RadonOperator:
         img = self.image_layout()
         sino = self.sino_layout()
-        kind, family = self.family()
-        if kind == "parallel":
-            return ParallelRayOperator(family, img, sino)
+        offset = self.parallel_offset()
+        if offset is not None:
+            return ParallelRayOperator(offset, img, sino)
         boundary = self.boundary()
         if boundary is None:
             return RadonOperator(img, sino)
-        return BrokenRayOperator(boundary, family, img, sino)
+        return BrokenRayOperator(boundary, self.family(), img, sino)
 
     def rendered_phantom(self) -> GridImage:
         spec, margin = self.phantom()
         img = render(spec, self.image_layout())
         boundary = self.boundary()
-        if boundary is not None and self.family()[0] != "parallel":
+        if boundary is not None and self.family_kind != "parallel":
             img = clip_to_boundary(img, boundary, margin)
         return img
 
@@ -316,15 +324,20 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
+# every manifest key reconstruct writes; a later reconstruct replaces them all
+_RECONSTRUCT_KEYS = ("method", "gamma", "iterations", "residual_first", "residual_last",
+                     "relative_error", "sup_error", "reconstruct_elapsed_s")
+
+
 def _record(out: Path, cfg, entries: dict, start: bool = False) -> None:
-    """Write ``entries`` to the run's manifest.  ``forward`` starts it; the
-    later commands merge their keys into what is there, and leave the file
-    as it is when that changes nothing."""
+    """Write ``entries`` to the run's manifest.  ``forward`` starts it;
+    ``reconstruct`` keeps what it holds for the same config, less the keys
+    an earlier reconstruct wrote, and starts it afresh for another config."""
     path = out / "manifest.txt"
     old = {} if start or not path.exists() else brio.read_manifest(path)
-    manifest = {**old, "experiment": cfg.name, "config": cfg.path, **entries}
-    if manifest != old:
-        brio.write_manifest(path, manifest)
+    same = old.get("config") == cfg.path
+    kept = {k: v for k, v in old.items() if same and k not in _RECONSTRUCT_KEYS}
+    brio.write_manifest(path, {**kept, "experiment": cfg.name, "config": cfg.path, **entries})
 
 
 def cmd_forward(cfg: ExperimentConfig, args) -> int:
@@ -338,7 +351,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     brio.save_pgm(out / "phantom.pgm", f)
     brio.save_sinogram(out / "sinogram.txt", g)
     _record(out, cfg, {
-        "family": cfg.family()[0],
+        "family": cfg.family_kind,
         "masked_bins": int(np.sum(~g.mask)),
         "forward_elapsed_s": f"{time.time() - t0:.3f}",
     }, start=True)
@@ -361,14 +374,9 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     else:
         result = landweber(g, op, lw_cfg)
         rec = result.final
-        entries.update(
-            {
-                "gamma": f"{result.gamma:.8g}",
-                "iterations": result.n_iters,
-                "residual_first": f"{result.residuals[0]:.8g}",
-                "residual_last": f"{result.residuals[-1]:.8g}",
-            }
-        )
+        entries.update(gamma=f"{result.gamma:.8g}", iterations=result.n_iters,
+                       residual_first=f"{result.residuals[0]:.8g}",
+                       residual_last=f"{result.residuals[-1]:.8g}")
         for k, snap in result.snapshots:
             brio.save_image(out / f"iterate_k{k:04d}.txt", snap)
         # the first backprojection step doubles as the f^(1) diagnostic
@@ -420,7 +428,6 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
         for r in radii:
             fh.write(f"{r.radius:.12g},{r.p},{r.q}\n")
     wrote.append("polygon_radii.csv")
-    _record(out, cfg, {})
     print(f"predict: wrote {', '.join(wrote)} in {out}")
     return 0
 

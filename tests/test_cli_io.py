@@ -300,6 +300,27 @@ class TestCommands:
         assert float(manifest["relative_error"]) >= 0.0
         assert {"forward_elapsed_s", "reconstruct_elapsed_s"} <= set(manifest)
 
+    def test_manifest_keeps_no_key_of_another_run(self, tmp_path):
+        # an FBP reconstruct replaces every key a Landweber one wrote, and a
+        # reconstruct on another config keeps nothing of the forward before it
+        landweber_cfg = tmp_path / "landweber.ini"
+        landweber_cfg.write_text(SMALL_CONFIG.replace("method = fbp",
+                                                      "method = landweber\niterations = 2"))
+        fbp_cfg = tmp_path / "fbp.ini"
+        fbp_cfg.write_text(SMALL_CONFIG)
+        out = tmp_path / "out"
+        for command, cfg_path in (("forward", landweber_cfg), ("reconstruct", landweber_cfg)):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "residual_last" in read_manifest(out / "manifest.txt")
+        landweber_cfg.write_text(SMALL_CONFIG)
+        assert main(["reconstruct", "--config", str(landweber_cfg), "--out", str(out)]) == 0
+        manifest = read_manifest(out / "manifest.txt")
+        assert manifest["method"] == "fbp" and "masked_bins" in manifest
+        assert not {"gamma", "iterations", "residual_first", "residual_last"} & set(manifest)
+        assert main(["reconstruct", "--config", str(fbp_cfg), "--out", str(out)]) == 0
+        manifest = read_manifest(out / "manifest.txt")
+        assert manifest["config"] == str(fbp_cfg) and "masked_bins" not in manifest
+
     def test_missing_config_is_validation_error(self, tmp_path):
         rc = main(["forward", "--config", str(tmp_path / "nope.ini")])
         assert rc == 1
