@@ -12,9 +12,9 @@ selftest     run the built-in numerical checks
 Configs are flat INI files (see the README for every key, its default and
 its check).  Loading a config converts and checks every key it uses, so a
 malformed config is rejected before any output is written; unknown keys
-are ignored.
-Exit codes: 0 success, 1 configuration error (rejected at load),
-2 numerical failure.
+are ignored.  A family that admits no bin is rejected when the operator is
+built, also before any output.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ import configparser
 import io as _io
 import math
 import sys
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as brio
+from . import reconstruct
 from .conjugate import (
     Covector,
     caustic_curve,
@@ -307,7 +309,10 @@ class ExperimentConfig:
         boundary = self.boundary()
         if boundary is None:
             return RadonOperator(img, sino)
-        return BrokenRayOperator(boundary, self.family(), img, sino)
+        op = BrokenRayOperator(boundary, self.family(), img, sino)
+        if not op.mask.any():
+            raise ConfigError(f"[family] kind = {self.family_kind} admits no bin of the sinogram")
+        return op
 
     def rendered_phantom(self) -> GridImage:
         spec, margin = self.phantom()
@@ -325,8 +330,10 @@ def _out_dir(args, cfg) -> Path:
 
 
 # every manifest key reconstruct writes; a later reconstruct replaces them all
-_RECONSTRUCT_KEYS = ("method", "gamma", "iterations", "residual_first", "residual_last",
-                     "relative_error", "sup_error", "reconstruct_elapsed_s")
+_RECONSTRUCT_KEYS = ("method", "gamma", "gamma_source", "power_steps", "iterations",
+                     "residual_first", "residual_last", "relative_error", "sup_error",
+                     "reconstruct_elapsed_s")
+POWER_ITERATION_FILE = "power_iteration.txt"
 
 
 def _record(out: Path, cfg, entries: dict, start: bool = False) -> None:
@@ -340,9 +347,36 @@ def _record(out: Path, cfg, entries: dict, start: bool = False) -> None:
     brio.write_manifest(path, {**kept, "experiment": cfg.name, "config": cfg.path, **entries})
 
 
+def _step_size(op, out: Path) -> tuple[float, dict]:
+    """Landweber's automatic step and the manifest entries saying how it
+    was found.
+
+    ``out`` keeps the power iteration's history and the image x its last
+    step was applied to.  One step from x gives that step's eigenvalue
+    estimate bit for bit only when the operator, the code and the
+    arithmetic are unchanged, so a match proves that the stored gamma is
+    this operator's.  Anything else runs the whole iteration and stores it.
+    """
+    path = out / POWER_ITERATION_FILE
+    try:
+        history, last = brio.load_power_iteration(path)
+    except (OSError, ValueError):
+        last = None
+    layout = op.img_layout
+    if last is not None and (last.n, last.x_min, last.x_max, last.y_min, last.y_max) == (
+            layout.n, layout.x_min, layout.x_max, layout.y_min, layout.y_max):
+        gamma, replay = reconstruct.step_size_estimate(op, n_steps=1, start=last,
+                                                       return_history=True)
+        if replay == history[-1:]:
+            return gamma, {"gamma_source": "replayed", "power_steps": 1}
+    gamma, history, last = reconstruct.step_size_estimate(op, return_last=True)
+    brio.save_power_iteration(path, history, last)
+    return gamma, {"gamma_source": "power_iteration", "power_steps": len(history)}
+
+
 def cmd_forward(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args, cfg)
     op = cfg.operator()
+    out = _out_dir(args, cfg)
     f = cfg.rendered_phantom()
     t0 = time.time()
     op.check_support_of(f)
@@ -361,8 +395,8 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(args, cfg)
     op = cfg.operator()
+    out = _out_dir(args, cfg)
     f_true = cfg.rendered_phantom()
     op.check_support_of(f_true)
     g = op.forward(f_true)
@@ -372,9 +406,13 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     if method == "fbp":
         rec = fbp(g, op)
     else:
+        step = {"gamma_source": "config", "power_steps": 0}
+        if lw_cfg.step_size is None:
+            gamma, step = _step_size(op, out)
+            lw_cfg = replace(lw_cfg, step_size=gamma)
         result = landweber(g, op, lw_cfg)
         rec = result.final
-        entries.update(gamma=f"{result.gamma:.8g}", iterations=result.n_iters,
+        entries.update(gamma=f"{result.gamma:.8g}", **step, iterations=result.n_iters,
                        residual_first=f"{result.residuals[0]:.8g}",
                        residual_last=f"{result.residuals[-1]:.8g}")
         for k, snap in result.snapshots:
@@ -526,6 +564,14 @@ def _selftest_checks(n: int, corrupt_adjoint: bool):
     e = float(np.linalg.norm(rec.data - f.data) / np.linalg.norm(f.data))
     yield "filtered backprojection identity", e < 0.08, f"rel L2 err={e:.3f}"
 
+    small = RadonOperator(GridImage.zeros(32), SinogramLayout(32, 40, 1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        (gamma, first), (again, second) = [_step_size(small, Path(tmp)) for _ in range(2)]
+    sources = (first["gamma_source"], second["gamma_source"])
+    yield "power iteration resumes from its stored iterate", (
+        again == gamma and sources == ("power_iteration", "replayed")
+    ), f"gamma={gamma!r}, resumed {again!r} ({' then '.join(sources)})"
+
 
 def cmd_selftest(args) -> int:
     t0 = time.time()
@@ -548,21 +594,23 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--out", default=None)
     p.add_argument("--corrupt-adjoint", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
 
     if args.command == "selftest":
         return cmd_selftest(args)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-    except (ConfigError, configparser.Error) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "forward":
             return cmd_forward(cfg, args)
         if args.command == "reconstruct":
             return cmd_reconstruct(cfg, args)
         return cmd_predict(cfg, args)
+    except (ConfigError, configparser.Error) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except BrokenRayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -3,11 +3,15 @@
 GridImage: header ``n x_min x_max y_min y_max``, then n rows of n floats,
 top row = largest y.  Sinogram: header ``n_s n_alpha s_max``, then n_alpha
 rows of n_s floats with masked bins as nan.  PGM export is 16-bit binary
-with the affine scaling recorded in a sidecar.
+with the affine scaling recorded in a sidecar.  A stored power iteration is
+one line of its eigenvalue estimates, then the image its last step was
+applied to as a GridImage.  Every float is written ``%.17g``, so it reads
+back exactly.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,23 +20,53 @@ from .conjugate import CausticCurve, ConjugateChain, TangentLocus
 from .transforms import GridImage, Sinogram
 
 
+def _write_image(fh, img: GridImage) -> None:
+    fh.write(f"{img.n} {img.x_min:.17g} {img.x_max:.17g} "
+             f"{img.y_min:.17g} {img.y_max:.17g}\n")
+    np.savetxt(fh, img.data[::-1], fmt="%.17g")
+
+
+def _read_image(fh) -> GridImage:
+    """Raises ValueError on a malformed header or a wrong sample count."""
+    n, *bounds = fh.readline().split()
+    x_min, x_max, y_min, y_max = map(float, bounds)
+    n = int(n)
+    rows = [line for line in fh if line.strip()]
+    # loadtxt only warns about an empty input
+    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
+    if data.shape != (n, n):
+        raise ValueError(f"expected {n}x{n} samples, found {data.shape}")
+    return GridImage(data[::-1].copy(), x_min, x_max, y_min, y_max)
+
+
 def save_image(path, img: GridImage) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{img.n} {img.x_min:.17g} {img.x_max:.17g} "
-                 f"{img.y_min:.17g} {img.y_max:.17g}\n")
-        np.savetxt(fh, img.data[::-1], fmt="%.17g")
+        _write_image(fh, img)
 
 
 def load_image(path) -> GridImage:
     with open(path) as fh:
-        header = fh.readline().split()
-        n = int(header[0])
-        x_min, x_max, y_min, y_max = map(float, header[1:5])
-        data = np.loadtxt(fh)
-    data = np.atleast_2d(data)
-    if data.shape != (n, n):
-        raise ValueError(f"expected {n}x{n} samples, found {data.shape}")
-    return GridImage(data[::-1].copy(), x_min, x_max, y_min, y_max)
+        return _read_image(fh)
+
+
+def save_power_iteration(path, history, last: GridImage) -> None:
+    """Written under a temporary name of this process and renamed, so that
+    a reader finds the old file or the whole new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(" ".join(f"{lam:.17g}" for lam in history) + "\n")
+        _write_image(fh, last)
+    os.replace(tmp, path)
+
+
+def load_power_iteration(path) -> tuple[list, GridImage]:
+    """(history, last); raises OSError or ValueError on a file that is
+    missing or malformed."""
+    with open(path) as fh:
+        history = [float(lam) for lam in fh.readline().split()]
+        if not history:
+            raise ValueError(f"{path}: no power-iteration history")
+        return history, _read_image(fh)
 
 
 def save_sinogram(path, g: Sinogram) -> None:

@@ -9,6 +9,12 @@ applies the filter once per step (the split square root has the same fixed
 points and costs an extra FFT).  The data residual ``|Lambda^(1/2)(g - B f)|``
 is nonincreasing for step sizes below 2/|L^* L|; the default step is
 1/|L^* L| from a power iteration, half the stability bound.
+
+The power iteration can resume from the image its last step was applied
+to: one step from there repeats that step's estimate bit for bit on the
+same operator, code and arithmetic.  ``brokenray reconstruct`` stores that
+image in the experiment directory and replays the one step instead of the
+thirty; any other estimate sends it back to the full iteration.
 """
 
 from __future__ import annotations
@@ -56,14 +62,21 @@ class LandweberResult:
         return len(self.residuals)
 
 
-def step_size_estimate(op, n_steps: int = 30, seed: int = 0, return_history: bool = False):
+def step_size_estimate(op, n_steps: int = 30, seed: int = 0, return_history: bool = False,
+                       start: GridImage | None = None, return_last: bool = False):
     """gamma = 1 / |B* Lambda B| estimated by power iteration.
 
-    This is half the 2/|L* L| stability bound of the iteration.
+    This is half the 2/|L* L| stability bound of the iteration.  The
+    iteration starts from a seeded random unit image, or from ``start`` as
+    it is.  With ``return_last`` it returns ``(gamma, history, x)``, where
+    x is the image the last step was applied to: ``start=x, n_steps=1``
+    repeats that step, and so its gamma, bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    x = op.img_layout.copy_with(rng.standard_normal(op.img_layout.data.shape))
-    x.data /= np.linalg.norm(x.data)
+    x = start
+    if x is None:
+        rng = np.random.default_rng(seed)
+        x = op.img_layout.copy_with(rng.standard_normal(op.img_layout.data.shape))
+        x.data /= np.linalg.norm(x.data)
     history = []
     lam = 0.0
     for _ in range(n_steps):
@@ -72,8 +85,10 @@ def step_size_estimate(op, n_steps: int = 30, seed: int = 0, return_history: boo
         if lam == 0.0:
             raise ZeroOperator("B* Lambda B maps the start vector to zero: no bin is admitted")
         history.append(lam)
-        x = x.copy_with(y.data / np.linalg.norm(y.data))
+        last, x = x, x.copy_with(y.data / np.linalg.norm(y.data))
     gamma = 1.0 / lam
+    if return_last:
+        return gamma, history, last
     if return_history:
         return gamma, history
     return gamma

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenray.cli import DEFAULT_CONFIG, ExperimentConfig, main
+from brokenray.cli import DEFAULT_CONFIG, POWER_ITERATION_FILE, ExperimentConfig, main
 from brokenray.errors import ConfigError
 from brokenray.geometry import GRAZING_COS, Circle
 from brokenray.io import (
@@ -311,15 +312,33 @@ class TestCommands:
         out = tmp_path / "out"
         for command, cfg_path in (("forward", landweber_cfg), ("reconstruct", landweber_cfg)):
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert "residual_last" in read_manifest(out / "manifest.txt")
+        landweber_keys = {"gamma", "gamma_source", "power_steps", "iterations",
+                          "residual_first", "residual_last"}
+        assert landweber_keys <= set(read_manifest(out / "manifest.txt"))
         landweber_cfg.write_text(SMALL_CONFIG)
         assert main(["reconstruct", "--config", str(landweber_cfg), "--out", str(out)]) == 0
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["method"] == "fbp" and "masked_bins" in manifest
-        assert not {"gamma", "iterations", "residual_first", "residual_last"} & set(manifest)
+        assert not landweber_keys & set(manifest)
         assert main(["reconstruct", "--config", str(fbp_cfg), "--out", str(out)]) == 0
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["config"] == str(fbp_cfg) and "masked_bins" not in manifest
+
+    def test_empty_family_is_config_error(self, tmp_path, capsys):
+        # no bin of the s window [-1, 1] lies within ds of s0 = 8
+        text = SMALL_CONFIG.replace("kind = full", "kind = local\ns0 = 8\nalpha0 = 0.0")
+        for old, new in (("\nn = 48\n", "\nn = 12\n"), ("n_s = 48", "n_s = 12"),
+                         ("n_alpha = 60", "n_alpha = 16")):
+            text = text.replace(old, new)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        for command in ("forward", "reconstruct"):
+            rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "admits no bin" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_validation_error(self, tmp_path):
         rc = main(["forward", "--config", str(tmp_path / "nope.ini")])
@@ -352,6 +371,113 @@ class TestCommands:
         assert rc.returncode == 0, rc.stderr
         assert rc.stdout.strip() == ""
 
+
+LANDWEBER_CONFIG = SMALL_CONFIG.replace("method = fbp", "method = landweber\niterations = 3")
+
+
+def _reconstruct(tmp_path, text, out) -> dict:
+    """Run ``reconstruct`` on ``text`` into ``out``; return its manifest."""
+    cfg_path = tmp_path / f"{out.name}.ini"
+    cfg_path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return read_manifest(out / "manifest.txt")
+
+
+class TestStepSizeReplay:
+    """Landweber's automatic step is stored in the experiment directory and
+    reused only when one power step from the stored iterate reproduces the
+    stored last step."""
+
+    OUTPUTS = ("reconstruction.txt", "backprojection_f1.txt")
+
+    def test_second_reconstruct_replays(self, tmp_path):
+        out = tmp_path / "out"
+        first = _reconstruct(tmp_path, LANDWEBER_CONFIG, out)
+        files = {name: (out / name).read_bytes() for name in self.OUTPUTS}
+        stored = (out / POWER_ITERATION_FILE).read_bytes()
+        second = _reconstruct(tmp_path, LANDWEBER_CONFIG, out)
+        assert (first["gamma_source"], first["power_steps"]) == ("power_iteration", "30")
+        assert (second["gamma_source"], second["power_steps"]) == ("replayed", "1")
+        assert second["gamma"] == first["gamma"]
+        assert {name: (out / name).read_bytes() for name in self.OUTPUTS} == files
+        assert (out / POWER_ITERATION_FILE).read_bytes() == stored
+
+    @pytest.mark.parametrize("old,new", [
+        pytest.param("s_max = 1.0", "s_max = 1.25", id="s_max"),
+        pytest.param("radius = 1.0", "radius = 0.9", id="mirror"),
+        pytest.param("kind = full", "kind = half_plane", id="family"),
+    ])
+    def test_changed_operator_falls_back(self, tmp_path, old, new):
+        changed = LANDWEBER_CONFIG.replace(old, new)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        _reconstruct(tmp_path, LANDWEBER_CONFIG, out)
+        after = _reconstruct(tmp_path, changed, out)
+        expected = _reconstruct(tmp_path, changed, fresh)
+        assert after["gamma_source"] == "power_iteration"
+        assert after["gamma"] == expected["gamma"]
+        for name in self.OUTPUTS:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "history_only", "other_n"])
+    def test_unusable_stored_file_falls_back(self, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        stored = out / POWER_ITERATION_FILE
+        expected = _reconstruct(tmp_path, LANDWEBER_CONFIG, tmp_path / "fresh")
+        if damage == "other_n":
+            _reconstruct(tmp_path, LANDWEBER_CONFIG.replace("\nn = 48\n", "\nn = 32\n"), out)
+        else:
+            _reconstruct(tmp_path, LANDWEBER_CONFIG, out)
+            text = stored.read_text()
+            stored.write_text({"truncated": text[: len(text) // 2], "empty": "",
+                               "history_only": text.splitlines()[0]}[damage])
+        capsys.readouterr()
+        after = _reconstruct(tmp_path, LANDWEBER_CONFIG, out)
+        assert capsys.readouterr().err == ""
+        assert (after["gamma_source"], after["gamma"]) == ("power_iteration", expected["gamma"])
+        assert _reconstruct(tmp_path, LANDWEBER_CONFIG, out)["gamma_source"] == "replayed"
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(SMALL_CONFIG, id="fbp"),
+        pytest.param(LANDWEBER_CONFIG + "step_size = 0.05\n", id="fixed-step"),
+    ])
+    def test_fbp_and_fixed_step_leave_it_alone(self, tmp_path, monkeypatch, text):
+        from brokenray import cli
+
+        touched = []
+        monkeypatch.setattr(cli.brio, "load_power_iteration", lambda *a: touched.append(a))
+        monkeypatch.setattr(cli.brio, "save_power_iteration", lambda *a: touched.append(a))
+        manifest = _reconstruct(tmp_path, text, tmp_path / "out")
+        assert touched == [] and not (tmp_path / "out" / POWER_ITERATION_FILE).exists()
+        if manifest["method"] == "landweber":
+            assert (manifest["gamma_source"], manifest["power_steps"]) == ("config", "0")
+            assert float(manifest["gamma"]) == 0.05
+
+    def test_power_steps_are_forward_calls_under_the_estimate(self, tmp_path, monkeypatch):
+        from brokenray import reconstruct
+        from brokenray.transforms import RadonOperator
+
+        estimate, forward = reconstruct.step_size_estimate, RadonOperator.forward
+        inside, steps = [], []
+
+        def counted_estimate(*args, **kwargs):
+            inside.append(True)
+            try:
+                return estimate(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_forward(self, f):
+            steps[-1] += bool(inside)
+            return forward(self, f)
+
+        monkeypatch.setattr(reconstruct, "step_size_estimate", counted_estimate)
+        monkeypatch.setattr(RadonOperator, "forward", counted_forward)
+        for _ in range(2):
+            steps.append(0)
+            _reconstruct(tmp_path, LANDWEBER_CONFIG, tmp_path / "out")
+        assert steps == [30, 1]
 
 
 # SMALL_CONFIG on a 12-pixel grid with every key the resolvers read, so that
@@ -419,12 +545,33 @@ def test_any_config_exits_0_1_or_2(mutations):
         cfg_path = tmp / "cfg.ini"
         cfg_path.write_text(text.replace("mirror.csv", str(tmp / "mirror.csv")))
         out = tmp / "out"
-        codes = []
+        codes, errors, wrote = [], [], []
         for command in ("forward", "reconstruct", "predict"):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 codes.append(main([command, "--config", str(cfg_path), "--out", str(out)]))
+            errors.append(err.getvalue())
+            wrote.append(out.exists())
         assert set(codes) <= {0, 1, 2}
-        # a config is rejected at load, by every command, before any output
+        # a config is rejected before any output: at load by every command,
+        # and an empty family by the two commands that build the operator
         if 1 in codes:
-            assert codes == [1, 1, 1] and not out.exists()
+            empty_family = "admits no bin" in errors[0]
+            assert codes[:2] == [1, 1] and (codes[2] == 1) != empty_family
+            assert wrote == [False, False, wrote[2] and empty_family]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["forward"], id="missing-config"),
+    pytest.param(["sideways"], id="unknown-command"),
+    pytest.param(["--seed", "3", "forward", "--config", "cfg.ini"], id="removed-seed"),
+])
+def test_usage_error_exits_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: brokenray") and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: brokenray")

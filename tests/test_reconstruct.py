@@ -149,6 +149,13 @@ class TestStepSize:
         g2 = step_size_estimate(ScaledOp(base, 3.0))
         assert g2 == pytest.approx(g1 / 9.0, rel=1e-6)
 
+    def test_one_step_from_the_last_iterate_repeats_gamma(self):
+        op = small_radon_op()
+        gamma, history, last = step_size_estimate(op, return_last=True)
+        assert (gamma, history) == step_size_estimate(op, return_history=True)
+        assert step_size_estimate(op, n_steps=1, start=last, return_history=True) == (
+            gamma, history[-1:])
+
 
 class TestErrorMetrics:
     def test_relative_error_trivials(self):
