@@ -333,7 +333,7 @@ def _out_dir(args, cfg) -> Path:
 _RECONSTRUCT_KEYS = ("method", "gamma", "gamma_source", "power_steps", "iterations",
                      "residual_first", "residual_last", "relative_error", "sup_error",
                      "reconstruct_elapsed_s")
-POWER_ITERATION_FILE = "power_iteration.txt"
+POWER_ITERATION_FILE = "power_iteration.npy"
 
 
 def _record(out: Path, cfg, entries: dict, start: bool = False) -> None:
@@ -360,7 +360,7 @@ def _step_size(op, out: Path) -> tuple[float, dict]:
     path = out / POWER_ITERATION_FILE
     try:
         history, last = brio.load_power_iteration(path)
-    except (OSError, ValueError):
+    except (OSError, EOFError, ValueError):
         last = None
     layout = op.img_layout
     if last is not None and (last.n, last.x_min, last.x_max, last.y_min, last.y_max) == (

@@ -3,10 +3,10 @@
 GridImage: header ``n x_min x_max y_min y_max``, then n rows of n floats,
 top row = largest y.  Sinogram: header ``n_s n_alpha s_max``, then n_alpha
 rows of n_s floats with masked bins as nan.  PGM export is 16-bit binary
-with the affine scaling recorded in a sidecar.  A stored power iteration is
-one line of its eigenvalue estimates, then the image its last step was
-applied to as a GridImage.  Every float is written ``%.17g``, so it reads
-back exactly.
+with the affine scaling recorded in a sidecar.  Every float is written
+``%.17g``, so it reads back exactly.  The one binary file is a stored power
+iteration (``save_power_iteration``), which must cost little to write on
+every first ``reconstruct``.
 """
 
 from __future__ import annotations
@@ -20,53 +20,47 @@ from .conjugate import CausticCurve, ConjugateChain, TangentLocus
 from .transforms import GridImage, Sinogram
 
 
-def _write_image(fh, img: GridImage) -> None:
-    fh.write(f"{img.n} {img.x_min:.17g} {img.x_max:.17g} "
-             f"{img.y_min:.17g} {img.y_max:.17g}\n")
-    np.savetxt(fh, img.data[::-1], fmt="%.17g")
+def save_image(path, img: GridImage) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"{img.n} {img.x_min:.17g} {img.x_max:.17g} "
+                 f"{img.y_min:.17g} {img.y_max:.17g}\n")
+        np.savetxt(fh, img.data[::-1], fmt="%.17g")
 
 
-def _read_image(fh) -> GridImage:
-    """Raises ValueError on a malformed header or a wrong sample count."""
-    n, *bounds = fh.readline().split()
-    x_min, x_max, y_min, y_max = map(float, bounds)
-    n = int(n)
-    rows = [line for line in fh if line.strip()]
-    # loadtxt only warns about an empty input
-    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
+def load_image(path) -> GridImage:
+    with open(path) as fh:
+        header = fh.readline().split()
+        n = int(header[0])
+        x_min, x_max, y_min, y_max = map(float, header[1:5])
+        data = np.loadtxt(fh)
+    data = np.atleast_2d(data)
     if data.shape != (n, n):
         raise ValueError(f"expected {n}x{n} samples, found {data.shape}")
     return GridImage(data[::-1].copy(), x_min, x_max, y_min, y_max)
 
 
-def save_image(path, img: GridImage) -> None:
-    with open(path, "w") as fh:
-        _write_image(fh, img)
-
-
-def load_image(path) -> GridImage:
-    with open(path) as fh:
-        return _read_image(fh)
-
-
 def save_power_iteration(path, history, last: GridImage) -> None:
-    """Written under a temporary name of this process and renamed, so that
-    a reader finds the old file or the whole new one."""
+    """One float64 ``.npy`` vector: n, x_min, x_max, y_min, y_max, the
+    history, then the n*n samples of ``last`` row by row.  Written under a
+    temporary name of this process and renamed, so that a reader finds the
+    old file or the whole new one."""
+    head = [last.n, last.x_min, last.x_max, last.y_min, last.y_max]
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(" ".join(f"{lam:.17g}" for lam in history) + "\n")
-        _write_image(fh, last)
+    with open(tmp, "wb") as fh:
+        np.save(fh, np.concatenate([head, history, last.data.ravel()]))
     os.replace(tmp, path)
 
 
 def load_power_iteration(path) -> tuple[list, GridImage]:
-    """(history, last); raises OSError or ValueError on a file that is
-    missing or malformed."""
-    with open(path) as fh:
-        history = [float(lam) for lam in fh.readline().split()]
-        if not history:
-            raise ValueError(f"{path}: no power-iteration history")
-        return history, _read_image(fh)
+    """(history, last); raises OSError, EOFError or ValueError on a file
+    that is missing or malformed."""
+    v = np.load(path, allow_pickle=False)
+    ok = v.ndim == 1 and v.dtype == np.float64 and v.size > 5 and np.isfinite(v[0])
+    n = int(v[0]) if ok else 0
+    if n < 1 or v[0] != n or v.size <= 5 + n * n:
+        raise ValueError(f"{path}: not a stored power iteration")
+    data = v[v.size - n * n:].reshape(n, n).copy()
+    return v[5:v.size - n * n].tolist(), GridImage(data, *v[1:5].tolist())
 
 
 def save_sinogram(path, g: Sinogram) -> None:

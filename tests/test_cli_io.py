@@ -17,9 +17,11 @@ from brokenray.errors import ConfigError
 from brokenray.geometry import GRAZING_COS, Circle
 from brokenray.io import (
     load_image,
+    load_power_iteration,
     load_sinogram,
     read_manifest,
     save_image,
+    save_power_iteration,
     save_pgm,
     save_sinogram,
 )
@@ -67,6 +69,18 @@ class TestFileFormats:
         # top row of the file is the largest y
         first_row = (path.read_text().splitlines()[1]).split()
         assert float(first_row[0]) == pytest.approx(img.data[-1, 0])
+
+    def test_power_iteration_roundtrip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(2)
+        last = GridImage(rng.standard_normal((5, 5)), -0.3, 0.7, 1.0 / 3.0, 4.0 / 3.0)
+        history = (1.0 / rng.uniform(1.0, 2.0, 7)).tolist()
+        path = tmp_path / POWER_ITERATION_FILE
+        save_power_iteration(path, history, last)
+        back_history, back = load_power_iteration(path)
+        assert back_history == history
+        assert back.data.tobytes() == last.data.tobytes()
+        assert (back.x_min, back.x_max, back.y_min, back.y_max) == (-0.3, 0.7, 1.0 / 3.0, 4.0 / 3.0)
+        assert [p.name for p in tmp_path.iterdir()] == [POWER_ITERATION_FILE]
 
     def test_sinogram_roundtrip_with_mask(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -420,7 +434,8 @@ class TestStepSizeReplay:
         for name in self.OUTPUTS:
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "history_only", "other_n"])
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "header_only", "text",
+                                        "no_history", "other_n"])
     def test_unusable_stored_file_falls_back(self, tmp_path, capsys, damage):
         out = tmp_path / "out"
         stored = out / POWER_ITERATION_FILE
@@ -429,9 +444,13 @@ class TestStepSizeReplay:
             _reconstruct(tmp_path, LANDWEBER_CONFIG.replace("\nn = 48\n", "\nn = 32\n"), out)
         else:
             _reconstruct(tmp_path, LANDWEBER_CONFIG, out)
-            text = stored.read_text()
-            stored.write_text({"truncated": text[: len(text) // 2], "empty": "",
-                               "history_only": text.splitlines()[0]}[damage])
+            raw = stored.read_bytes()
+            if damage == "no_history":
+                v = np.load(stored)
+                np.save(stored, np.concatenate([v[:5], v[-48 * 48:]]))
+            else:
+                stored.write_bytes({"truncated": raw[: len(raw) // 2], "empty": b"",
+                                    "header_only": raw[:128], "text": b"0.5 0.25\n"}[damage])
         capsys.readouterr()
         after = _reconstruct(tmp_path, LANDWEBER_CONFIG, out)
         assert capsys.readouterr().err == ""
