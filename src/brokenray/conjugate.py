@@ -178,6 +178,9 @@ class CausticCurve:
     source: np.ndarray
     points: list  # CausticPoint, sorted by alpha
     breaks: list  # indices into points where the polyline is interrupted
+    refine_dist: float | None = None
+    # intervals longer than refine_dist left unbisected, both ends outside
+    unrefined_outside: int = 0
 
     def segments(self) -> list[np.ndarray]:
         """Polyline pieces as (m, 2) arrays, split at gaps."""
@@ -191,15 +194,18 @@ class CausticCurve:
 
 
 def _caustic_samples(p, boundary, alphas):
-    """Conjugate points q and path lengths t of the rays from p at the
-    given angles; NaN where a direction has no admissible reflection or no
-    conjugate point."""
+    """Conjugate points q, path lengths t and inside-the-mirror flags of the
+    rays from p at the given angles; q and t are NaN, and the flag False,
+    where a direction has no admissible reflection or no conjugate point."""
     v, w = unit_vectors(alphas)
     pv = dot2(v, p)
     rays = reflect_rays(boundary, dot2(w, p), alphas, pv, jacobian=True)
     q = conjugate_point(p, rays)
     t = rays.t_hit - pv + dot2(q - rays.hit_point, rays.line_out.v)
-    return q, t
+    present = ~np.isnan(q[:, 0])
+    inside = np.zeros(len(q), dtype=bool)
+    inside[present] = boundary.inside(q[present, 0], q[present, 1])
+    return q, t, inside
 
 
 def caustic_curve(
@@ -214,9 +220,11 @@ def caustic_curve(
 
     Directions without an admissible reflection or without a conjugate
     point leave gaps.  When ``refine_dist`` is set, intervals whose
-    endpoints are farther apart than that are bisected up to ``max_depth``
+    endpoints are farther apart than that, and at least one of whose
+    endpoints lies inside the mirror, are bisected up to ``max_depth``
     times, which resolves cusps.  Points outside the mirror are flagged
-    ``outside_domain``.
+    ``outside_domain``; the curve counts in ``unrefined_outside`` the long
+    intervals it left whole because both ends lie outside.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -224,39 +232,46 @@ def caustic_curve(
     a0, a1 = alpha_range
     full_turn = abs((a1 - a0) - TWO_PI) < 1e-12
     alphas = np.linspace(a0, a1, n_samples, endpoint=not full_turn)
-    q, t = _caustic_samples(p, boundary, alphas)
-    found = [(alphas, q, t)]
+    q, t, inside = _caustic_samples(p, boundary, alphas)
+    found = [(alphas, q, t, inside)]
+    unrefined_outside = 0
 
     if refine_dist is not None:
         # Breadth-first: each level bisects, in one batch, every interval
-        # whose ends both exist and lie farther apart than refine_dist.  An
-        # interval's fate depends only on its own ends, so this samples the
-        # same angles as bisecting each interval depth-first.
-        lo_a, lo_q, hi_a, hi_q = alphas[:-1], q[:-1], alphas[1:], q[1:]
+        # whose ends both exist, lie farther apart than refine_dist and are
+        # not both outside the mirror.  An interval's fate depends only on
+        # its own ends, so this samples the same angles as bisecting each
+        # interval depth-first.
+        lo_a, lo_q, lo_in = alphas[:-1], q[:-1], inside[:-1]
+        hi_a, hi_q, hi_in = alphas[1:], q[1:], inside[1:]
         for _ in range(max_depth):
-            split = np.linalg.norm(hi_q - lo_q, axis=1) > refine_dist
+            far = np.linalg.norm(hi_q - lo_q, axis=1) > refine_dist
+            split = far & (lo_in | hi_in)
+            unrefined_outside += int(np.count_nonzero(far & ~split))
             if not split.any():
                 break
             mid_a = 0.5 * (lo_a[split] + hi_a[split])
-            mid_q, mid_t = _caustic_samples(p, boundary, mid_a)
-            found.append((mid_a, mid_q, mid_t))
+            mid_q, mid_t, mid_in = _caustic_samples(p, boundary, mid_a)
+            found.append((mid_a, mid_q, mid_t, mid_in))
             lo_a, hi_a = np.concatenate([lo_a[split], mid_a]), np.concatenate([mid_a, hi_a[split]])
             lo_q, hi_q = np.concatenate([lo_q[split], mid_q]), np.concatenate([mid_q, hi_q[split]])
+            lo_in = np.concatenate([lo_in[split], mid_in])
+            hi_in = np.concatenate([mid_in, hi_in[split]])
 
-    alphas, q, t = (np.concatenate(x) for x in zip(*found))
+    alphas, q, t, inside = (np.concatenate(x) for x in zip(*found))
     order = np.argsort(alphas, kind="stable")
-    alphas, q, t = alphas[order], q[order], t[order]
+    alphas, q, t, inside = alphas[order], q[order], t[order], inside[order]
     present = ~np.isnan(q[:, 0])
     if not present.any():
         raise EmptyCaustic("no admissible direction produced a conjugate point")
     # a point right after a missing direction starts a new piece
     after_gap = np.concatenate([[False], ~present[:-1]])[present]
     breaks = [int(i) for i in np.flatnonzero(after_gap) if i > 0]
-    alphas, q, t = alphas[present], q[present], t[present]
-    outside = ~boundary.inside(q[:, 0], q[:, 1])
-    points = [CausticPoint(float(a), float(ti), qi, bool(o))
-              for a, ti, qi, o in zip(alphas, t, q, outside)]
-    return CausticCurve(source=p, points=points, breaks=breaks)
+    alphas, q, t, inside = alphas[present], q[present], t[present], inside[present]
+    points = [CausticPoint(float(a), float(ti), qi, not i)
+              for a, ti, qi, i in zip(alphas, t, q, inside.tolist())]
+    return CausticCurve(source=p, points=points, breaks=breaks, refine_dist=refine_dist,
+                        unrefined_outside=unrefined_outside)
 
 
 @dataclass

@@ -11,6 +11,8 @@ every first ``reconstruct``.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from pathlib import Path
 
@@ -95,25 +97,33 @@ def save_pgm(path, img: GridImage) -> None:
         fh.write(f"min {lo:.17g}\nmax {hi:.17g}\n")
 
 
+def _write_rows(fh, fmt: str, rows: list) -> None:
+    """Write every row with one %-format over a flat tuple; ``fmt`` formats
+    one row, newline included."""
+    fh.write((fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+
+
 def save_caustic_csv(path, curve: CausticCurve) -> None:
+    """One row per point, then ``# unrefined_outside,<count>,refine_dist,<d>``:
+    how many intervals longer than ``refine_dist`` were left unbisected
+    because both their ends lie outside the mirror."""
+    rows = [(cp.alpha, cp.t, *cp.point.tolist(), "outside_domain" if cp.outside_domain else "ok")
+            for cp in curve.points]
     with open(path, "w") as fh:
         fh.write("alpha,t,x,y,flag\n")
-        for cp in curve.points:
-            flag = "outside_domain" if cp.outside_domain else "ok"
-            fh.write(
-                f"{cp.alpha:.12g},{cp.t:.12g},{cp.point[0]:.12g},"
-                f"{cp.point[1]:.12g},{flag}\n"
-            )
+        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,%s\n", rows)
+        fh.write(f"# unrefined_outside,{curve.unrefined_outside},"
+                 f"refine_dist,{curve.refine_dist}\n")
 
 
 def save_locus_csv(path, locus: TangentLocus) -> None:
+    rows = [(a, t, x, y, "ok") for a, t, (x, y) in
+            zip(locus.alpha.tolist(), locus.t.tolist(), locus.points.tolist())]
+    rows += [(z.alpha, z.t, math.nan, math.nan,
+              f"zero:{z.kind}:{'simple' if z.simple else 'degenerate'}") for z in locus.zeros]
     with open(path, "w") as fh:
         fh.write("alpha,t,x,y,flag\n")
-        for a, t, (x, y) in zip(locus.alpha, locus.t, locus.points):
-            fh.write(f"{a:.12g},{t:.12g},{x:.12g},{y:.12g},ok\n")
-        for z in locus.zeros:
-            kind = f"zero:{z.kind}:{'simple' if z.simple else 'degenerate'}"
-            fh.write(f"{z.alpha:.12g},{z.t:.12g},nan,nan,{kind}\n")
+        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,%s\n", rows)
 
 
 def save_chain_csv(path, chain: ConjugateChain) -> None:

@@ -210,12 +210,17 @@ def _caustic_sample(p, boundary, alpha):
     return q, t1 + float(np.dot(q - event.hit_point, event.line_out.v))
 
 
-def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10):
-    """(alphas, points, t, breaks) of ``conjugate.caustic_curve`` over the
-    full turn, one ray at a time, bisecting each interval depth-first."""
+def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10,
+                        refine_outside=False):
+    """(alphas, points, t, breaks, unrefined_outside) of
+    ``conjugate.caustic_curve`` over the full turn, one ray at a time,
+    bisecting each interval depth-first.  An interval whose ends both lie
+    outside the mirror is left whole, and counted, unless ``refine_outside``
+    is set, which refines wherever the ends are far apart."""
     alphas = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
     samples = [(a, _caustic_sample(p, boundary, a)) for a in alphas]
     refined = []
+    unrefined_outside = 0
     for i in range(len(samples)):
         refined.append(samples[i])
         if i + 1 == len(samples):
@@ -227,6 +232,9 @@ def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10):
             if depth >= max_depth or ca is None or cb is None:
                 continue
             if np.linalg.norm(ca[0] - cb[0]) <= refine_dist:
+                continue
+            if not (refine_outside or boundary.inside(*ca[0]) or boundary.inside(*cb[0])):
+                unrefined_outside += 1
                 continue
             am = 0.5 * (aa + ab)
             cm = _caustic_sample(p, boundary, am)
@@ -245,7 +253,7 @@ def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10):
         kept.append((a, sample[0], sample[1]))
         previous_missing = False
     return (np.array([k[0] for k in kept]), np.array([k[1] for k in kept]),
-            np.array([k[2] for k in kept]), breaks)
+            np.array([k[2] for k in kept]), breaks, unrefined_outside)
 
 
 def per_sample_tangent_locus(p, radius, n_samples):

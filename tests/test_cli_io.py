@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokenray.cli import DEFAULT_CONFIG, POWER_ITERATION_FILE, ExperimentConfig, main
+from brokenray.conjugate import CausticCurve, CausticPoint, LocusZero, TangentLocus
 from brokenray.errors import ConfigError
 from brokenray.geometry import GRAZING_COS, Circle
 from brokenray.io import (
@@ -22,6 +23,8 @@ from brokenray.io import (
     read_manifest,
     save_image,
     save_power_iteration,
+    save_caustic_csv,
+    save_locus_csv,
     save_pgm,
     save_sinogram,
 )
@@ -105,6 +108,42 @@ class TestFileFormats:
         assert pixels.max() == 65535
         side = (tmp_path / "img.pgm.scale").read_text()
         assert "min 0" in side and "max 7" in side
+
+
+# values whose %.12g spellings differ in kind: nan, a signed zero, a
+# subnormal-range exponent, a path length near 8e3 and plain fractions
+AWKWARD = [math.nan, -0.0, 1e-300, 8123.456789012345, 1.0 / 3.0, -2.5e-17, 0.0, 7.0]
+
+
+def test_prediction_csvs_keep_the_per_row_format(tmp_path):
+    # the one-pass writers must give the bytes of one f-string per row
+    v = np.array(AWKWARD)
+    rows = np.column_stack([np.roll(v, k) for k in range(4)])
+    curve = CausticCurve(
+        source=np.zeros(2), breaks=[],
+        points=[CausticPoint(float(a), float(t), np.array([x, y]), bool(i % 3 == 1))
+                for i, (a, t, x, y) in enumerate(rows)],
+        refine_dist=0.0625, unrefined_outside=28)
+    expected = "alpha,t,x,y,flag\n" + "".join(
+        f"{cp.alpha:.12g},{cp.t:.12g},{cp.point[0]:.12g},{cp.point[1]:.12g},"
+        f"{'outside_domain' if cp.outside_domain else 'ok'}\n" for cp in curve.points)
+    save_caustic_csv(tmp_path / "caustic.csv", curve)
+    assert (tmp_path / "caustic.csv").read_text() == (
+        expected + "# unrefined_outside,28,refine_dist,0.0625\n")
+
+    zeros = [LocusZero(alpha=float(a), kind=kind, simple=simple, t=float(t))
+             for (a, t), kind, simple in zip(rows[:3, :2], ("through_center", "source_perpendicular",
+                                                           "through_center"), (True, True, False))]
+    locus = TangentLocus(alpha=rows[:, 0], t=rows[:, 1], points=rows[:, 2:], zeros=zeros)
+    expected = "alpha,t,x,y,flag\n" + "".join(
+        f"{a:.12g},{t:.12g},{x:.12g},{y:.12g},ok\n"
+        for a, t, (x, y) in zip(locus.alpha, locus.t, locus.points))
+    expected += "".join(
+        f"{z.alpha:.12g},{z.t:.12g},nan,nan,zero:{z.kind}:{'simple' if z.simple else 'degenerate'}\n"
+        for z in zeros)
+    save_locus_csv(tmp_path / "locus.csv", locus)
+    assert (tmp_path / "locus.csv").read_text() == expected
+    assert "zero:through_center:degenerate" in expected and "-0," in expected
 
 
 class TestConfig:
@@ -286,6 +325,11 @@ class TestCommands:
         caustic = (out / "caustic.csv").read_text().splitlines()
         assert caustic[0] == "alpha,t,x,y,flag"
         assert len(caustic) > 10
+        # the last line says how much refinement outside the mirror was left out
+        key, skipped, dist_key, dist = caustic[-1].split(",")
+        assert (key, dist_key) == ("# unrefined_outside", "refine_dist")
+        assert int(skipped) >= 0 and float(dist) == 2.0 * (2.0 / 48)
+        assert not any(line.startswith("#") for line in caustic[:-1])
         chain = (out / "chain.csv").read_text()
         assert "status_positive" in chain
         radii = (out / "polygon_radii.csv").read_text().splitlines()

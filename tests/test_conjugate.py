@@ -286,22 +286,57 @@ CAUSTIC_CASES = {
     "parabola": (Parabola(focal=1.0, x_max=4.0), (0.0, -3.0), 60, 0.05),
 }
 
+INSIDE_CASES = {
+    **CAUSTIC_CASES,
+    # the AC-3 experiment's caustic at n = 256 (refine_dist two pixels)
+    "circle-ac3-n256": (Circle(1.0), (0.5, 0.0), 720, 2.0 * (2.0 / 256)),
+    # the disk_landweber benchmark source at one of its seeds' positions
+    "circle-disk-landweber": (Circle(1.0), (SQUARE_ORBIT * math.cos(7 * math.pi / 30),
+                                            SQUARE_ORBIT * math.sin(7 * math.pi / 30)),
+                              360, 2.0 / 32),
+}
+
 
 class TestBatchedCaustic:
     @pytest.mark.parametrize("case", sorted(CAUSTIC_CASES))
     def test_matches_depth_first_oracle(self, case):
         boundary, p, n, refine = CAUSTIC_CASES[case]
         p = np.array(p)
-        alphas, q, t, breaks = depth_first_caustic(p, boundary, n, refine)
+        alphas, q, t, breaks, unrefined = depth_first_caustic(p, boundary, n, refine)
         cc = caustic_curve(p, boundary, n_samples=n, refine_dist=refine)
         np.testing.assert_array_equal([cp.alpha for cp in cc.points], alphas)
         assert cc.breaks == breaks
+        assert (cc.unrefined_outside, cc.refine_dist) == (unrefined, refine)
         got_q = np.array([cp.point for cp in cc.points])
         got_t = np.array([cp.t for cp in cc.points])
         # q moves as 1/(d a2/d a1), so its rounding grows as |q|^2
         reach = np.linalg.norm(q, axis=1)
         assert np.all(np.linalg.norm(got_q - q, axis=1) <= 1e-12 * (1.0 + reach**2))
         assert np.all(np.abs(got_t - t) <= 1e-12 * (1.0 + t**2))
+
+    @pytest.mark.parametrize("case", [
+        *sorted(CAUSTIC_CASES),
+        pytest.param("circle-ac3-n256", marks=pytest.mark.slow),
+        "circle-disk-landweber",
+    ])
+    def test_keeps_every_inside_point_of_refining_everywhere(self, case):
+        # refining only intervals with an end inside the mirror must find
+        # every inside point that refining every long interval finds
+        boundary, p, n, refine = INSIDE_CASES[case]
+        p = np.array(p)
+        alphas, q, t, _, _ = depth_first_caustic(p, boundary, n, refine, refine_outside=True)
+        inside = boundary.inside(q[:, 0], q[:, 1])
+        assert inside.any()
+        cc = caustic_curve(p, boundary, n_samples=n, refine_dist=refine)
+        kept = [cp for cp in cc.points if not cp.outside_domain]
+        np.testing.assert_array_equal([cp.alpha for cp in kept], alphas[inside])
+        got_q = np.array([cp.point for cp in kept])
+        got_t = np.array([cp.t for cp in kept])
+        q, t = q[inside], t[inside]
+        reach = np.linalg.norm(q, axis=1)
+        assert np.all(np.linalg.norm(got_q - q, axis=1) <= 1e-12 * (1.0 + reach**2))
+        assert np.all(np.abs(got_t - t) <= 1e-12 * (1.0 + t**2))
+        assert len(cc.points) <= len(alphas)
 
     def test_flags_points_outside_every_mirror(self):
         ell = Ellipse(1.4, 0.9)
