@@ -28,12 +28,10 @@ from .errors import (
     CenterOutsideWindow,
     CenterSource,
     ConfigError,
-    DegenerateDirection,
     DivergenceDetected,
     EmptyCaustic,
     EmptyLocus,
     GrazingIncidence,
-    NoIntersection,
     SupportViolation,
     ZeroOperator,
     ZeroReference,
@@ -44,11 +42,8 @@ from .geometry import (
     Ellipse,
     LineCoords,
     Parabola,
-    ReflectionEvent,
     SampledCurve,
-    intersect_ray,
     reflect,
-    reflect_rays,
     reflection_jacobian,
 )
 from .phantoms import PhantomSpec, clip_to_boundary, place, render

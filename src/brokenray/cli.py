@@ -473,7 +473,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
 def _selftest_checks(n: int, corrupt_adjoint: bool):
     """Yield (name, passed, detail) for the built-in numerical checks."""
     from .conjugate import conjugate_point, source_derivatives
-    from .geometry import TWO_PI, Ellipse, dot2, reflect, reflect_rays, unit_vectors
+    from .geometry import cross2, dot2, reflect, unit_vectors
 
     rng = np.random.default_rng(1234)
     img = GridImage.zeros(n)
@@ -501,63 +501,53 @@ def _selftest_checks(n: int, corrupt_adjoint: bool):
     rel = abs(lhs - rhs) / abs(lhs)
     yield "broken-ray adjoint dot product", rel < 1e-4, f"rel={rel:.2e}"
 
-    worst = 0.0
-    for boundary in (Circle(1.0), Ellipse(1.4, 0.9)):
-        for _ in range(50):
-            p = rng.uniform(-0.4, 0.4, size=2)
-            alpha = rng.uniform(0.0, 2 * math.pi)
-            try:
-                event = reflect(boundary, LineCoords.through(p, alpha), p)
-            except BrokenRayError:
-                continue
-            worst = max(worst, abs(float(np.linalg.det(event.jacobian)) - 1.0))
-    yield "reflection det(d chi) = 1", worst < 1e-6, f"max|det-1|={worst:.2e}"
-
-    worst, disagree = 0.0, 0
-    for boundary in (Circle(1.0), Ellipse(1.4, 0.9)):
-        p = rng.uniform(-0.4, 0.4, size=(50, 2))
-        alpha = rng.uniform(0.0, 2 * math.pi, size=50)
+    def rays_from(boundary, p, alpha, jacobian=False):
         v, w = unit_vectors(alpha)
-        rays = reflect_rays(boundary, dot2(w, p), alpha, dot2(v, p), jacobian=True)
-        for i in range(50):
-            try:
-                event = reflect(boundary, LineCoords.through(p[i], alpha[i]), p[i])
-            except BrokenRayError:
-                disagree += int(rays.ok[i])
-                continue
-            disagree += int(not rays.ok[i])
-            worst = max(worst, abs(rays.line_out.s[i] - event.line_out.s),
-                        abs(math.remainder(rays.line_out.alpha[i] - event.line_out.alpha, TWO_PI)),
-                        float(np.max(np.abs(rays.hit_point[i] - event.hit_point))),
-                        float(np.max(np.abs(rays.jacobian[i] - event.jacobian)
-                                     / (1.0 + np.abs(event.jacobian)))))
-    yield "batched reflection matches reflect", disagree == 0 and worst < 1e-12, (
-        f"{disagree} admissibility disagreements, max dev={worst:.2e}"
-    )
+        return reflect(boundary, dot2(w, p), alpha, dot2(v, p), jacobian=jacobian)
 
-    worst = 0.0
-    hits = 0
-    for _ in range(30):
-        p = rng.uniform(-0.4, 0.4, size=2)
-        alpha = rng.uniform(0.0, 2 * math.pi)
-        circle = Circle(1.0)
-        try:
-            event = reflect(circle, LineCoords.through(p, alpha), p)
-        except BrokenRayError:
-            continue
-        da2, _ = source_derivatives(p, event)
-        if da2 < 0.3:
-            continue
-        q = conjugate_point(p, event)
-        e1 = reflect(circle, LineCoords.through(p, alpha - 5e-5), p)
-        e2 = reflect(circle, LineCoords.through(p, alpha + 5e-5), p)
-        A = np.column_stack([e1.line_out.v, -e2.line_out.v])
-        t, _ = np.linalg.solve(A, e2.hit_point - e1.hit_point)
-        q_env = e1.hit_point + t * e1.line_out.v
-        worst = max(worst, float(np.linalg.norm(q - q_env)))
-        hits += 1
-    yield "conjugate point envelope oracle", hits > 10 and worst < 1e-3, (
-        f"max dev={worst:.2e} over {hits} rays"
+    # every ray from a source near the centre reflects; one that did not
+    # would hold NaN and fail each check below
+    circle, ellipse = Circle(1.0), Ellipse(1.4, 0.9)
+    mirrors = (
+        # (mirror, |x| - R or its ellipse analogue, the normal's direction)
+        (circle, lambda x: np.hypot(x[:, 0], x[:, 1]) - 1.0, lambda x: x),
+        (ellipse, lambda x: np.hypot(x[:, 0] / 1.4, x[:, 1] / 0.9) - 1.0,
+         lambda x: x / [1.4**2, 0.9**2]),
+    )
+    off_curve = specular = det = 0.0
+    for boundary, level, gradient in mirrors:
+        p = rng.uniform(-0.4, 0.4, size=(50, 2))
+        rays = rays_from(boundary, p, rng.uniform(0.0, 2 * math.pi, size=50), jacobian=True)
+        x, grad = rays.hit_point, gradient(rays.hit_point)
+        n_hat = grad / np.hypot(grad[:, 0], grad[:, 1])[:, None]
+        v1, v2 = rays.line_in.v, rays.line_out.v
+        mirrored = v1 - 2.0 * dot2(v1, n_hat)[:, None] * n_hat
+        off_curve = max(off_curve, np.max(np.abs(level(x))))
+        specular = max(specular, np.max(np.abs(v2 - mirrored)))
+        det = max(det, np.max(np.abs(np.linalg.det(rays.jacobian) - 1.0)))
+    yield "reflection hits lie on the mirror", off_curve < 1e-12, f"max dev={off_curve:.2e}"
+    yield "equal angles to the normal", specular < 1e-12, f"max dev={specular:.2e}"
+    yield "reflection det(d chi) = 1", det < 1e-6, f"max|det-1|={det:.2e}"
+
+    s, alpha = rng.uniform(-0.4, 0.4, size=50), rng.uniform(0.0, 2 * math.pi, size=50)
+    rays = reflect(circle, s, alpha, 0.0)
+    dev = max(np.max(np.abs(rays.line_out.s - s)),
+              np.max(np.abs(rays.line_out.alpha - (alpha + 2.0 * np.arcsin(s) + math.pi))))
+    yield "circle: s2 = s1, a2 = a1 + 2 asin(s1/R) + pi", dev < 1e-12, f"max dev={dev:.2e}"
+
+    p = rng.uniform(-0.4, 0.4, size=(30, 2))
+    alpha = rng.uniform(0.0, 2 * math.pi, size=30)
+    rays = rays_from(circle, p, alpha, jacobian=True)
+    keep = source_derivatives(p, rays)[0] >= 0.3
+    q, p, alpha = conjugate_point(p, rays)[keep], p[keep], alpha[keep]
+    # the envelope: where the reflections of two nearby rays from p cross
+    e1, e2 = rays_from(circle, p, alpha - 5e-5), rays_from(circle, p, alpha + 5e-5)
+    v1, v2 = e1.line_out.v, e2.line_out.v
+    t = cross2(e2.hit_point - e1.hit_point, v2) / cross2(v1, v2)
+    q_env = e1.hit_point + t[:, None] * v1
+    worst = float(np.max(np.linalg.norm(q - q_env, axis=1), initial=0.0))
+    yield "conjugate point envelope oracle", len(p) > 10 and worst < 1e-3, (
+        f"max dev={worst:.2e} over {len(p)} rays"
     )
 
     rec = radon_adjoint(lambda_filter(g), img)

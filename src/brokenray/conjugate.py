@@ -24,25 +24,17 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (
-    CenterSource,
-    DegenerateDirection,
-    EmptyCaustic,
-    GrazingIncidence,
-)
+from .errors import CenterSource, EmptyCaustic, GrazingIncidence
 from .geometry import (
     GRAZING_COS,
     TWO_PI,
     Boundary,
     Circle,
     LineCoords,
-    ReflectionEvent,
     Reflections,
     cross2,
     dot2,
-    normal,
-    reflect,  # not called here: benchmark/tracing.py counts calls through this name
-    reflect_rays,
+    reflect,
     rot90,
     unit_vectors,
 )
@@ -95,11 +87,12 @@ class Translation:
         return np.eye(2)
 
 
-def source_derivatives(p, event: ReflectionEvent) -> tuple[float, float]:
-    """Total (d a2/d a1, d s2/d a1) along the ray pencil through p.
+def source_derivatives(p, event: Reflections):
+    """Total (d a2/d a1, d s2/d a1) along the ray pencil through p, as
+    arrays over the rays.
 
     Chain rule through the reflection Jacobian with s1 = <p, w(a1)>, so
-    d s1/d a1 = -<p, v(a1)>.  For Reflections both are arrays over the rays.
+    d s1/d a1 = -<p, v(a1)>.
     """
     J = event.jacobian
     ds1 = -dot2(np.asarray(p, dtype=float), unit_vectors(event.line_in.alpha)[0])
@@ -109,25 +102,19 @@ def source_derivatives(p, event: ReflectionEvent) -> tuple[float, float]:
 
 
 def conjugate_point(p, event, q0_offset: float = 0.0):
-    """Conjugate point of p along the outgoing ray, or None.
+    """Conjugate points of p along the outgoing rays.
 
-    ``event`` is a ReflectionEvent, a Translation or a batch of reflections
-    (Reflections).  ``q0_offset`` slides the reference point q0 along the
-    outgoing direction; small offsets do not change the existence answer.
-
-    Raises DegenerateDirection when d(alpha2)/d(alpha1) = 0 (the conjugate
-    point escapes to infinity).  A batch instead returns an (m, 2) array
-    whose rows are NaN where a ray has no conjugate point or it is at
-    infinity.
+    ``event`` is a Translation or Reflections, whose points stack on a last
+    axis of 2.  A point is NaN where its ray has no conjugate point or it
+    lies at infinity (d(alpha2)/d(alpha1) = 0).  ``q0_offset`` slides the
+    reference point q0 along the outgoing direction; small offsets do not
+    change the existence answer.
     """
     p = np.asarray(p, dtype=float)
     if isinstance(event, Translation):
         # conjugate pair of the translation: q = p + w * offset
         return p + event.offset * event.line_in.w
-    batch = isinstance(event, Reflections)
     da2, ds2 = source_derivatives(p, event)
-    if not batch and abs(da2) < DEGENERATE_TOL:
-        raise DegenerateDirection("d alpha2/d alpha1 = 0: conjugate point at infinity")
     v2, w2 = unit_vectors(event.alpha2_raw)
     q0 = event.hit_point + q0_offset * v2
     # <d q0/d a1, w2> recovered from differentiating <q0, w2> = s2
@@ -136,15 +123,14 @@ def conjugate_point(p, event, q0_offset: float = 0.0):
     with np.errstate(divide="ignore", invalid="ignore"):
         c = -ds2 / da2
     q = np.asarray(event.line_out.s)[..., None] * w2 + np.asarray(c)[..., None] * v2
-    if batch:
-        return np.where(exists[..., None], q, np.nan)
-    return q if exists else None
+    return np.where(exists[..., None], q, np.nan)
 
 
 def conjugate_covector(cv: Covector, event, conormal_tol: float = 1e-6):
-    """Transport a conormal covector through the event, or None.
+    """Transport a conormal covector through one event, or None.
 
-    With xi = lambda * w(alpha1) the partner is
+    ``event`` is a Translation or a 0-d Reflections, one ray.  With
+    xi = lambda * w(alpha1) the partner is
     eta = lambda / det(d chi) * (d alpha2/d alpha1) * w(alpha2) sitting at
     the conjugate point of cv.x.
     """
@@ -153,13 +139,13 @@ def conjugate_covector(cv: Covector, event, conormal_tol: float = 1e-6):
     if np.linalg.norm(cv.xi - lam * line_in.w) > conormal_tol * cv.magnitude:
         raise ValueError("covector is not conormal to the incoming line")
     q = conjugate_point(cv.x, event)
-    if q is None:
+    if np.isnan(q).any():
         return None
     if isinstance(event, Translation):
         return Covector(q, cv.xi.copy())
     da2, _ = source_derivatives(cv.x, event)
     det = float(np.linalg.det(event.jacobian))
-    eta = (lam / det) * da2 * normal(event.alpha2_raw)
+    eta = (lam / det) * da2 * event.line_out.w
     return Covector(q, eta)
 
 
@@ -199,7 +185,7 @@ def _caustic_samples(p, boundary, alphas):
     where a direction has no admissible reflection or no conjugate point."""
     v, w = unit_vectors(alphas)
     pv = dot2(v, p)
-    rays = reflect_rays(boundary, dot2(w, p), alphas, pv, jacobian=True)
+    rays = reflect(boundary, dot2(w, p), alphas, pv, jacobian=True)
     q = conjugate_point(p, rays)
     t = rays.t_hit - pv + dot2(q - rays.hit_point, rays.line_out.v)
     present = ~np.isnan(q[:, 0])
@@ -330,7 +316,7 @@ def tangent_conjugate_locus(p, radius: float = 1.0, n_samples: int = 2048) -> Ta
     # exp_p(t v(alpha)) travels t1 along v then t - t1 along the reflection
     v, w = unit_vectors(alpha_arr)
     pv = dot2(v, p)
-    rays = reflect_rays(Circle(radius), dot2(w, p), alpha_arr, pv)
+    rays = reflect(Circle(radius), dot2(w, p), alpha_arr, pv)
     if not rays.ok.all():
         raise GrazingIncidence("a direction on the locus meets the mirror at grazing incidence")
     pts = rays.hit_point + (t_arr - (rays.t_hit - pv))[:, None] * rays.line_out.v

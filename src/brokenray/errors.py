@@ -5,16 +5,8 @@ class BrokenRayError(Exception):
     """Base class for all package errors."""
 
 
-class NoIntersection(BrokenRayError):
-    """The ray never leaves the domain through the boundary."""
-
-
 class GrazingIncidence(BrokenRayError):
     """The ray meets the boundary too close to tangentially to reflect."""
-
-
-class DegenerateDirection(BrokenRayError):
-    """d(alpha2)/d(alpha1) = 0: the conjugate point sits at infinity."""
 
 
 class CenterSource(BrokenRayError):

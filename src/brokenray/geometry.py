@@ -16,6 +16,8 @@ reflects according to
 
 with incidence angle ``beta`` in (-pi/2, pi/2).  The map
 ``chi : (s1, alpha1) -> (s2, alpha2)`` is area preserving: det(d chi) = 1.
+``reflect`` applies this law to arrays of rays; scalar inputs give a 0-d
+batch, one ray.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import GrazingIncidence, NoIntersection
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,6 +130,10 @@ class Lines(NamedTuple):
     def v(self) -> np.ndarray:
         return unit_vectors(self.alpha)[0]
 
+    @property
+    def w(self) -> np.ndarray:
+        return unit_vectors(self.alpha)[1]
+
     def coord_of(self, points) -> np.ndarray:
         return dot2(points, self.v)
 
@@ -145,37 +149,11 @@ class Frame(NamedTuple):
 
 
 @dataclass(eq=False)
-class ReflectionEvent:
-    """One reflection of a directed line off a boundary.
-
-    ``jacobian`` is d(chi) = d(s2, alpha2)/d(s1, alpha1) evaluated at the
-    event; its determinant is 1 up to rounding.
-    """
-
-    tau0: float
-    beta: float
-    line_in: LineCoords
-    line_out: LineCoords
-    hit_point: np.ndarray
-    tangent: np.ndarray
-    kappa: float
-    jacobian: np.ndarray = field(default=None)
-
-    @property
-    def alpha2_raw(self) -> float:
-        """Outgoing angle without 2*pi reduction (smooth in the data)."""
-        return self.line_in.alpha + 2.0 * self.beta + math.pi
-
-    @property
-    def t_hit(self) -> float:
-        """Line coordinate of the hit point on the incoming line."""
-        return self.line_in.coord_of(self.hit_point)
-
-
-@dataclass(eq=False)
 class Reflections:
-    """The reflections of arrays of rays, with the fields of
-    ReflectionEvent as arrays over the rays: points and tangents stack on a
+    """The reflections of arrays of rays: per ray, the hit (curve
+    parameter, point, unit tangent, curvature), the incidence angle, the
+    incoming and outgoing lines and, if asked for, ``jacobian`` = d(chi),
+    whose determinant is 1 up to rounding.  Points and tangents stack on a
     last axis of 2, ``jacobian`` on two last axes.  Angles are not reduced
     mod 2 pi.  Rays that are not ``ok`` (no exit ahead of the source, or
     grazing) hold NaN.
@@ -578,82 +556,16 @@ def _points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _exit_parameter(boundary: Boundary, line: LineCoords, from_point) -> float:
-    """Curve parameter of the exit hit of one ray (see ``intersect_ray``)."""
-    t0 = line.coord_of(from_point)
-    hits = []
-    for u in boundary.line_intersections(line.s, line.alpha):
-        if math.isnan(u):
-            continue
-        fr = boundary.frame_u(u)
-        t = line.coord_of(fr.point)
-        if t <= t0 + AHEAD_EPS:
-            continue
-        cos_b = float(np.dot(line.v, fr.normal))
-        if cos_b <= 0.0:
-            continue  # inward crossing, the ray enters here
-        hits.append((t, float(u), cos_b))
-    if not hits:
-        raise NoIntersection(
-            f"ray (s={line.s:.6g}, alpha={line.alpha:.6g}) from "
-            f"{np.asarray(from_point)} does not exit the boundary"
-        )
-    _, u, cos_b = min(hits)
-    if cos_b < GRAZING_COS:
-        raise GrazingIncidence(
-            f"|cos beta| = {cos_b:.4g} below threshold {GRAZING_COS}"
-        )
-    return u
-
-
-def intersect_ray(boundary: Boundary, line: LineCoords, from_point) -> float:
-    """Arc parameter of the reflection point for a ray on the given line.
-
-    The reflection point is the first crossing strictly ahead of
-    ``from_point`` at which the ray leaves the region bounded by the curve
-    (<v, n> > 0).  For a source inside a convex boundary this is the exit
-    point of the chord.  Raises NoIntersection if the ray never leaves
-    through the boundary and GrazingIncidence if the first outward crossing
-    is closer than GRAZING_COS to tangential.
-    """
-    return float(boundary.tau_of_u(_exit_parameter(boundary, line, from_point)))
-
-
-def reflect(boundary: Boundary, line_in: LineCoords, from_point) -> ReflectionEvent:
-    """Reflect a directed line off the boundary.
-
-    Returns the full event: hit point, incidence angle, outgoing line and
-    the Jacobian d(chi) of the line-coordinate reflection map.  This is the
-    single-ray reference for ``reflect_rays``.
-    """
-    u0 = _exit_parameter(boundary, line_in, from_point)
-    fr = boundary.frame_u(u0)
-    sin_b = float(np.dot(line_in.v, fr.tangent))
-    sin_b = max(-1.0, min(1.0, sin_b))
-    beta = math.asin(sin_b)
-    alpha2 = line_in.alpha + 2.0 * beta + math.pi
-    s2 = float(np.dot(fr.point, normal(alpha2)))
-    event = ReflectionEvent(
-        tau0=float(boundary.tau_of_u(u0)),
-        beta=beta,
-        line_in=line_in,
-        line_out=LineCoords(s2, alpha2),
-        hit_point=fr.point,
-        tangent=fr.tangent,
-        kappa=float(fr.kappa),
-    )
-    event.jacobian = reflection_jacobian(event)
-    return event
-
-
-def reflect_rays(boundary: Boundary, s, alpha, t_from, jacobian: bool = False) -> Reflections:
+def reflect(boundary: Boundary, s, alpha, t_from, jacobian: bool = False) -> Reflections:
     """The reflection law on arrays of rays.
 
     Ray i runs along the directed line (s[i], alpha[i]) from line
-    coordinate t_from[i]; the three arrays broadcast.  Each ray reflects
-    where ``reflect`` reflects it, at its first outward crossing ahead of
-    the source.  Rays that never leave, or leave closer than GRAZING_COS to
-    tangential, are not ``ok``.  ``jacobian=True`` adds d(chi).
+    coordinate t_from[i]; the three arrays broadcast, and scalars give a
+    0-d batch.  Each ray reflects at its first outward crossing (<v, n> > 0)
+    strictly ahead of the source, which for a source inside a convex mirror
+    is the exit point of its chord.  Rays that never leave, or leave closer
+    than GRAZING_COS to tangential, are not ``ok``.  ``jacobian=True`` adds
+    d(chi).
     """
     s, alpha, t_from = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (s, alpha, t_from)))
@@ -692,16 +604,14 @@ def reflection_jacobian(event) -> np.ndarray:
 
     Built from the implicit-function derivatives of the hit parameter,
     k_s = 1/<w(a1), gamma'> and k_a = <v(a1), gamma(tau0)>/<w(a1), gamma'>.
-    The determinant is 1 up to rounding.  For Reflections the entries of
-    each ray stack on two last axes.
+    The determinant is 1 up to rounding.  The entries of each ray stack on
+    two last axes.
     """
     v1, w1 = unit_vectors(event.line_in.alpha)
     v2, w2 = unit_vectors(event.alpha2_raw)
     gdot = event.tangent
     hit = event.hit_point
     wg1 = dot2(w1, gdot)
-    if np.ndim(wg1) == 0 and abs(wg1) < GRAZING_COS:
-        raise GrazingIncidence(f"|<w, gamma'>| = {abs(wg1):.4g} too small")
     k_s = 1.0 / wg1
     k_a = dot2(v1, hit) / wg1
     kap = event.kappa
@@ -713,15 +623,3 @@ def reflection_jacobian(event) -> np.ndarray:
     ds2_da1 = -vg2 * da2_da1 + k_a * wg2
     return np.stack([np.stack([ds2_ds1, ds2_da1], axis=-1),
                      np.stack([da2_ds1, da2_da1], axis=-1)], axis=-2)
-
-
-def reflect_line_map(boundary: Boundary, s: float, alpha: float, t_anchor: float):
-    """chi as a plain map (s, alpha) -> (s2, alpha2_raw).
-
-    The source point is placed at line coordinate ``t_anchor`` so the map is
-    smooth under perturbations of (s, alpha); used for finite differencing.
-    """
-    line = LineCoords(s, alpha)
-    event = reflect(boundary, line, line.point_at(t_anchor))
-    return event.line_out.s, event.alpha2_raw
-

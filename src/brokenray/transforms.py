@@ -40,8 +40,7 @@ from .geometry import (
     LineCoords,
     direction,
     normal,
-    reflect,  # not called here: benchmark/tracing.py counts calls through this name
-    reflect_rays,
+    reflect,
 )
 
 LAMBDA_SCALE = 1.0 / (4.0 * math.pi)
@@ -409,7 +408,7 @@ def _reflection_table(boundary: Boundary, family: Family, layout: SinogramLayout
         tau0 = (R * np.arctan2(-vy, vx)) % length
     else:
         length = boundary.length
-        rays = reflect_rays(boundary, s, alphas[:, None], -4.0 * layout.s_max)
+        rays = reflect(boundary, s, alphas[:, None], -4.0 * layout.s_max)
         ok = rays.ok
         sin_b, tau0, s2, a2 = (np.where(ok, x, 0.0) for x in (
             np.sin(rays.beta), rays.tau0, rays.line_out.s, rays.line_out.alpha))

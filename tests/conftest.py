@@ -1,19 +1,17 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from brokenray.conjugate import conjugate_point
-from brokenray.errors import (
-    BrokenRayError,
-    DegenerateDirection,
-    GrazingIncidence,
-    NoIntersection,
-)
 from brokenray.geometry import (
+    AHEAD_EPS,
+    GRAZING_COS,
     TWO_PI,
+    Boundary,
     Circle,
     Ellipse,
     LineCoords,
@@ -22,7 +20,7 @@ from brokenray.geometry import (
     direction,
     normal,
     reflect,
-    reflect_line_map,
+    reflection_jacobian,
 )
 
 
@@ -53,6 +51,105 @@ def generic_curve():
     return SampledCurve(star_curve_points())
 
 
+# Reference reflection for the batched brokenray.geometry.reflect: one ray
+# at a time, with its own exit search and event type.  The Jacobian and the
+# conjugate point come from the package; they read only fields the event
+# shares with geometry.Reflections.
+
+
+class NoReflection(Exception):
+    """The reference ray never leaves the mirror, or leaves it grazing."""
+
+
+@dataclass(eq=False)
+class ReflectionEvent:
+    """One reflection of a directed line off a boundary.
+
+    ``jacobian`` is d(chi) = d(s2, alpha2)/d(s1, alpha1) evaluated at the
+    event; its determinant is 1 up to rounding.
+    """
+
+    tau0: float
+    beta: float
+    line_in: LineCoords
+    line_out: LineCoords
+    hit_point: np.ndarray
+    tangent: np.ndarray
+    kappa: float
+    jacobian: np.ndarray = field(default=None)
+
+    @property
+    def alpha2_raw(self) -> float:
+        """Outgoing angle without 2*pi reduction (smooth in the data)."""
+        return self.line_in.alpha + 2.0 * self.beta + math.pi
+
+    @property
+    def t_hit(self) -> float:
+        """Line coordinate of the hit point on the incoming line."""
+        return self.line_in.coord_of(self.hit_point)
+
+
+def _exit_parameter(boundary: Boundary, line: LineCoords, from_point) -> float:
+    """Curve parameter of the reflection point of one ray: the first
+    crossing strictly ahead of ``from_point`` at which the ray leaves the
+    region bounded by the curve (<v, n> > 0)."""
+    t0 = line.coord_of(from_point)
+    hits = []
+    for u in boundary.line_intersections(line.s, line.alpha):
+        if math.isnan(u):
+            continue
+        fr = boundary.frame_u(u)
+        t = line.coord_of(fr.point)
+        if t <= t0 + AHEAD_EPS:
+            continue
+        cos_b = float(np.dot(line.v, fr.normal))
+        if cos_b <= 0.0:
+            continue  # inward crossing, the ray enters here
+        hits.append((t, float(u), cos_b))
+    if not hits:
+        raise NoReflection(
+            f"ray (s={line.s:.6g}, alpha={line.alpha:.6g}) from "
+            f"{np.asarray(from_point)} does not exit the boundary"
+        )
+    _, u, cos_b = min(hits)
+    if cos_b < GRAZING_COS:
+        raise NoReflection(
+            f"|cos beta| = {cos_b:.4g} below threshold {GRAZING_COS}"
+        )
+    return u
+
+
+def reflect_one(boundary: Boundary, line_in: LineCoords, from_point) -> ReflectionEvent:
+    """Reflect one directed line off the boundary: hit point, incidence
+    angle, outgoing line and the Jacobian d(chi).  Raises NoReflection
+    where ``geometry.reflect`` leaves a ray not ``ok``."""
+    u0 = _exit_parameter(boundary, line_in, from_point)
+    fr = boundary.frame_u(u0)
+    sin_b = float(np.dot(line_in.v, fr.tangent))
+    sin_b = max(-1.0, min(1.0, sin_b))
+    beta = math.asin(sin_b)
+    alpha2 = line_in.alpha + 2.0 * beta + math.pi
+    s2 = float(np.dot(fr.point, normal(alpha2)))
+    event = ReflectionEvent(
+        tau0=float(boundary.tau_of_u(u0)),
+        beta=beta,
+        line_in=line_in,
+        line_out=LineCoords(s2, alpha2),
+        hit_point=fr.point,
+        tangent=fr.tangent,
+        kappa=float(fr.kappa),
+    )
+    event.jacobian = reflection_jacobian(event)
+    return event
+
+
+def reflect_from(boundary, p, alpha):
+    """``geometry.reflect`` of the one ray from p at angle alpha: a 0-d
+    batch with its Jacobian."""
+    v, w = direction(alpha), normal(alpha)
+    return reflect(boundary, float(np.dot(w, p)), alpha, float(np.dot(v, p)), jacobian=True)
+
+
 def fd_jacobian(boundary, line, from_point, h=1e-5):
     """Central finite differences of chi: (s, alpha) -> (s2, alpha2).
 
@@ -63,7 +160,9 @@ def fd_jacobian(boundary, line, from_point, h=1e-5):
     s, a = line.s, line.alpha
 
     def chi(ss, aa):
-        return np.array(reflect_line_map(boundary, ss, aa, t0))
+        moved = LineCoords(ss, aa)
+        event = reflect_one(boundary, moved, moved.point_at(t0))
+        return np.array([event.line_out.s, event.alpha2_raw])
 
     ds = (chi(s + h, a) - chi(s - h, a)) / (2.0 * h)
     da = (chi(s, a + h) - chi(s, a - h)) / (2.0 * h)
@@ -71,10 +170,11 @@ def fd_jacobian(boundary, line, from_point, h=1e-5):
 
 
 def random_admissible_events(boundary, rng, n, interior_radius=None):
-    """Yield n random valid reflection events on the boundary.
+    """n random admissible rays on the boundary as (line, source, event),
+    with ``event`` the 0-d batch of ``geometry.reflect``.
 
-    Sources are drawn inside the domain, directions uniformly; rays that
-    miss or graze are re-drawn.
+    Sources are drawn inside the domain, directions uniformly; rays that the
+    reference reflection finds to miss or graze are re-drawn.
     """
     events = []
     attempts = 0
@@ -98,9 +198,12 @@ def random_admissible_events(boundary, rng, n, interior_radius=None):
             p = np.array([u * math.cos(phi), u * math.sin(phi)])
         line = LineCoords.through(p, alpha)
         try:
-            events.append((line, p, reflect(boundary, line, p)))
-        except BrokenRayError:
+            reflect_one(boundary, line, p)
+        except NoReflection:
             continue
+        event = reflect(boundary, line.s, line.alpha, line.coord_of(p), jacobian=True)
+        assert event.ok, "the reference reflects a ray that geometry.reflect does not"
+        events.append((line, p, event))
     return events
 
 
@@ -170,9 +273,8 @@ def loop_radon_adjoint(g, img, h):
     return acc.reshape(width, width)[_PAD:-_PAD, _PAD:-_PAD] * scale
 
 
-# Reference geometry for the batched reflection of brokenray.geometry
-# (reflect_rays): the same computations one ray at a time through the
-# scalar reflect.
+# Reference geometry for the batched computations that reflect rays: the
+# same computations one ray at a time through reflect_one.
 
 
 def loop_reflection_table(boundary, family, layout):
@@ -185,8 +287,8 @@ def loop_reflection_table(boundary, family, layout):
         for k in range(layout.n_s):
             line = LineCoords(float(s[k]), float(alpha))
             try:
-                event = reflect(boundary, line, line.point_at(-4.0 * layout.s_max))
-            except BrokenRayError:
+                event = reflect_one(boundary, line, line.point_at(-4.0 * layout.s_max))
+            except NoReflection:
                 continue
             ok[m, k] = True
             sin_b[m, k] = math.sin(event.beta)
@@ -200,11 +302,11 @@ def loop_reflection_table(boundary, family, layout):
 def _caustic_sample(p, boundary, alpha):
     line = LineCoords.through(p, alpha)
     try:
-        event = reflect(boundary, line, p)
-        q = conjugate_point(p, event)
-    except (NoIntersection, GrazingIncidence, DegenerateDirection):
+        event = reflect_one(boundary, line, p)
+    except NoReflection:
         return None
-    if q is None:
+    q = conjugate_point(p, event)
+    if np.isnan(q).any():
         return None
     t1 = event.t_hit - line.coord_of(p)
     return q, t1 + float(np.dot(q - event.hit_point, event.line_out.v))
@@ -270,7 +372,7 @@ def per_sample_tangent_locus(p, radius, n_samples):
             continue
         t = t1 + t1 / D
         line = LineCoords.through(p, a)
-        event = reflect(Circle(radius), line, p)
+        event = reflect_one(Circle(radius), line, p)
         t_hit = event.t_hit - line.coord_of(p)
         rows.append((a, t, event.hit_point + (t - t_hit) * event.line_out.v))
     return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),

@@ -247,9 +247,9 @@ def test_ac6_local_data_cancellation():
     theta = math.pi / 3.0
     x1 = 0.45 * normal(theta)
     line = LineCoords.through(x1, theta)
-    event = reflect(circle, line, x1)
+    event = reflect(circle, line.s, line.alpha, line.coord_of(x1), jacobian=True)
     x2 = conjugate_point(x1, event)
-    assert x2 is not None and np.linalg.norm(x2) < 0.75
+    assert np.linalg.norm(x2) < 0.75
     op = BrokenRayOperator(circle, Family.local(line, ds=0.15, dalpha=0.45),
                            img_lay, sino_lay)
     sigma = 0.05

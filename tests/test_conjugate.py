@@ -18,12 +18,7 @@ from brokenray.conjugate import (
     source_derivatives,
     tangent_conjugate_locus,
 )
-from brokenray.errors import (
-    BrokenRayError,
-    CenterSource,
-    DegenerateDirection,
-    EmptyCaustic,
-)
+from brokenray.errors import CenterSource, EmptyCaustic
 from brokenray.geometry import (
     Circle,
     Ellipse,
@@ -34,14 +29,25 @@ from brokenray.geometry import (
     reflect,
 )
 
-from conftest import depth_first_caustic, per_sample_tangent_locus, random_admissible_events
+from conftest import (
+    depth_first_caustic,
+    per_sample_tangent_locus,
+    random_admissible_events,
+    reflect_from,
+)
+
+
+def no_point(q):
+    """Whether conjugate_point found no conjugate point (a NaN pair)."""
+    assert q.shape == (2,)
+    return bool(np.isnan(q).all())
 
 
 def envelope_intersection(boundary, p, alpha, dalpha=1e-4):
     """Independent caustic oracle: intersection of two infinitesimally
     separated reflected rays from the same source, centered on alpha."""
-    e1 = reflect(boundary, LineCoords.through(p, alpha - dalpha / 2.0), p)
-    e2 = reflect(boundary, LineCoords.through(p, alpha + dalpha / 2.0), p)
+    e1 = reflect_from(boundary, p, alpha - dalpha / 2.0)
+    e2 = reflect_from(boundary, p, alpha + dalpha / 2.0)
     A = np.column_stack([e1.line_out.v, -e2.line_out.v])
     t, _ = np.linalg.solve(A, e2.hit_point - e1.hit_point)
     return e1.hit_point + t * e1.line_out.v
@@ -51,14 +57,14 @@ class TestConjugatePoint:
     def test_center_source_is_self_conjugate(self, circle):
         p = np.array([0.0, 0.0])
         for alpha in np.linspace(0.0, 2 * math.pi, 7, endpoint=False):
-            event = reflect(circle, LineCoords.through(p, alpha), p)
+            event = reflect_from(circle, p, alpha)
             q = conjugate_point(p, event)
             np.testing.assert_allclose(q, [0.0, 0.0], atol=1e-12)
 
     def test_axis_example(self, circle):
         # p = (-0.5, 0), ray along +x: t1 = 1.5, d a2/d a1 = 2, dt2 = 0.75
         p = np.array([-0.5, 0.0])
-        event = reflect(circle, LineCoords.through(p, 0.0), p)
+        event = reflect_from(circle, p, 0.0)
         da2, _ = source_derivatives(p, event)
         assert da2 == pytest.approx(2.0)
         q = conjugate_point(p, event)
@@ -78,11 +84,11 @@ class TestConjugatePoint:
                 q = conjugate_point(p, event)
                 t1 = event.t_hit - line.coord_of(p)
                 if da2 > 0:
-                    assert q is not None
+                    assert not no_point(q)
                     dt2 = float(np.dot(q - event.hit_point, event.line_out.v))
                     assert dt2 == pytest.approx(t1 / da2, rel=1e-9)
                 else:
-                    assert q is None
+                    assert no_point(q)
 
     def test_total_derivative_closed_form(self, circle, ellipse, generic_curve):
         # d a2/d a1 = 2 kappa t1 / <w(a1), gamma'> - 1 along a fixed source
@@ -127,9 +133,9 @@ class TestConjugatePoint:
         rng = np.random.default_rng(37)
         for boundary in (circle, ellipse, generic_curve):
             for line, p, event in random_admissible_events(boundary, rng, 15):
-                base = conjugate_point(p, event) is not None
+                base = no_point(conjugate_point(p, event))
                 for eps in (-0.01, -0.003, 0.003, 0.01):
-                    assert (conjugate_point(p, event, q0_offset=eps) is not None) == base
+                    assert no_point(conjugate_point(p, event, q0_offset=eps)) == base
 
     def test_conjugacy_reciprocity(self, circle, ellipse, generic_curve):
         # if q is conjugate to p along nu, p is conjugate to q along
@@ -139,16 +145,16 @@ class TestConjugatePoint:
             count = 0
             for line, p, event in random_admissible_events(boundary, rng, 25):
                 q = conjugate_point(p, event)
-                if q is None:
+                if no_point(q):
                     continue
                 dt2 = float(np.dot(q - event.hit_point, event.line_out.v))
                 if dt2 < 0.05:
                     continue
-                back = reflect(boundary, event.line_out.reversed(), q)
+                back = reflect_from(boundary, q, event.line_out.alpha + math.pi)
                 if np.linalg.norm(back.hit_point - event.hit_point) > 1e-6:
                     continue  # reversed ray reflects off a different arc first
                 p_back = conjugate_point(q, back)
-                assert p_back is not None
+                assert not no_point(p_back)
                 assert np.linalg.norm(p_back - p) < 1e-6
                 count += 1
             assert count >= 5
@@ -160,17 +166,23 @@ class TestConjugatePoint:
         tried = 0
         for _ in range(60):
             alpha = rng.uniform(0.0, 2.0 * math.pi)
-            line = LineCoords.through(p, alpha)
-            try:
-                event = reflect(parabola, line, p)
-            except BrokenRayError:
+            event = reflect_from(parabola, p, alpha)
+            if not event.ok:
                 continue
             tried += 1
             da2, _ = source_derivatives(p, event)
             if abs(da2) < 1e-9:
                 continue
-            assert conjugate_point(p, event) is None
+            assert no_point(conjugate_point(p, event))
         assert tried > 20
+
+    @pytest.mark.parametrize("x0, da2", [(0.7, -0.4), (0.5, 0.0)])
+    def test_no_point_behind_or_at_infinity(self, circle, x0, da2):
+        # from (x0, 0) along +x: d a2/d a1 = 1 - 2 x0
+        p = np.array([x0, 0.0])
+        event = reflect_from(circle, p, 0.0)
+        assert source_derivatives(p, event)[0] == pytest.approx(da2, abs=1e-15)
+        assert no_point(conjugate_point(p, event))
 
     def test_translation_conjugate(self):
         p = np.array([0.3, -0.2])
@@ -187,7 +199,7 @@ class TestConjugateCovector:
         # eta = 2*lam*w(pi) = -2*lam*(0, 1) at (0.25, 0)
         lam = 0.7
         cv = Covector(np.array([-0.5, 0.0]), lam * np.array([0.0, 1.0]))
-        event = reflect(circle, LineCoords(0.0, 0.0), cv.x)
+        event = reflect(circle, 0.0, 0.0, -0.5, jacobian=True)
         out = conjugate_covector(cv, event)
         np.testing.assert_allclose(out.x, [0.25, 0.0], atol=1e-12)
         np.testing.assert_allclose(out.xi, [0.0, -2.0 * lam], atol=1e-12)
@@ -207,7 +219,7 @@ class TestConjugateCovector:
 
     def test_non_conormal_rejected(self, circle):
         cv = Covector(np.array([-0.5, 0.0]), np.array([1.0, 1.0]))
-        event = reflect(circle, LineCoords(0.0, 0.0), cv.x)
+        event = reflect(circle, 0.0, 0.0, -0.5, jacobian=True)
         with pytest.raises(ValueError):
             conjugate_covector(cv, event)
 
@@ -242,17 +254,15 @@ class TestCaustic:
             target = np.array([x_hit, -(x_hit**2) / 4.0])
             d = target - p
             alpha = math.atan2(d[1], d[0])
-            line = LineCoords.through(p, alpha)
-            try:
-                event = reflect(parabola, line, p)
-            except BrokenRayError:
+            event = reflect_from(parabola, p, alpha)
+            if not event.ok:
                 continue
             if abs(event.hit_point[0] - x_hit) > 1e-9:
                 continue
             da2, _ = source_derivatives(p, event)
             if abs(da2) < 1e-9:
                 continue
-            exists = conjugate_point(p, event) is not None
+            exists = not no_point(conjugate_point(p, event))
             assert exists == (x_hit**2 < 4.0)
             assert exists == parabola_criterion(1.0, 3.0, x_hit)
 
@@ -492,7 +502,8 @@ class TestChains:
                 # negative entries were reached walking backward: the
                 # forward ray retraces their outgoing line
                 incoming = prev.line_out.reversed()
-            event = reflect(circle, incoming, prev.covector.x)
+            event = reflect(circle, incoming.s, incoming.alpha,
+                            incoming.coord_of(prev.covector.x), jacobian=True)
             out = conjugate_covector(prev.covector, event)
             assert out is not None
             assert np.linalg.norm(out.x - nxt.covector.x) < 1e-6

@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from brokenray.errors import GrazingIncidence, NoIntersection
+from brokenray.conjugate import conjugate_point
 from brokenray.geometry import (
     Circle,
     Ellipse,
     LineCoords,
     Parabola,
     SampledCurve,
-    intersect_ray,
     normalize_angle,
     reflect,
     reflection_jacobian,
 )
 
-from conftest import fd_jacobian, random_admissible_events
+from conftest import (
+    NoReflection,
+    fd_jacobian,
+    random_admissible_events,
+    reflect_from,
+    reflect_one,
+)
 
 
 @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
@@ -102,7 +107,7 @@ class TestFrames:
             np.testing.assert_allclose(fs.tangent, fe.tangent, atol=1e-6)
         rng = np.random.default_rng(61)
         for line, p, event in random_admissible_events(ell, rng, 100):
-            other = reflect(curve, line, p)
+            other = reflect(curve, line.s, line.alpha, line.coord_of(p))
             assert other.tau0 == pytest.approx(event.tau0, abs=1e-8)
             assert other.line_out.s == pytest.approx(event.line_out.s, abs=1e-5)
             assert other.beta == pytest.approx(event.beta, abs=1e-5)
@@ -121,38 +126,44 @@ class TestFrames:
             parabola.frame(parabola.length)
 
 
+def assert_no_reflection(rays):
+    assert not rays.ok
+    assert np.isnan(rays.tau0) and np.isnan(rays.line_out.s)
+    assert np.isnan(rays.hit_point).all()
+
+
 class TestIntersect:
     def test_circle_exit_point(self, circle):
-        line = LineCoords(0.0, 0.0)
-        tau = intersect_ray(circle, line, np.array([-2.0, 0.0]))
-        np.testing.assert_allclose(circle.frame(tau).point, [1.0, 0.0], atol=1e-9)
+        rays = reflect(circle, 0.0, 0.0, -2.0)
+        assert rays.ok
+        np.testing.assert_allclose(circle.frame(rays.tau0).point, [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(rays.hit_point, [1.0, 0.0], atol=1e-9)
 
     def test_circle_tangent_line_grazes(self, circle):
-        with pytest.raises((GrazingIncidence, NoIntersection)):
-            intersect_ray(circle, LineCoords(1.0, 0.0), np.array([0.0, 1.0]) * 0 - [2, -1])
+        assert_no_reflection(reflect(circle, 1.0, 0.0, -2.0))
 
     def test_circle_near_tangent_grazes(self, circle):
-        with pytest.raises(GrazingIncidence):
-            intersect_ray(circle, LineCoords(0.9999, 0.0), np.array([-2.0, 0.9999]))
+        # the line crosses the circle, but too close to tangentially
+        assert not np.isnan(circle.line_intersections(0.9999, 0.0)).any()
+        assert_no_reflection(reflect(circle, 0.9999, 0.0, -2.0))
 
     def test_circle_miss(self, circle):
-        with pytest.raises(NoIntersection):
-            intersect_ray(circle, LineCoords(1.5, 0.0), np.array([-2.0, 1.5]))
+        assert np.isnan(circle.line_intersections(1.5, 0.0)).all()
+        assert_no_reflection(reflect(circle, 1.5, 0.0, -2.0))
 
     def test_parabola_vertical_ray_hits_vertex(self, parabola):
         # closed form: the line x=0 meets -4y = x^2 only at the origin
-        line = LineCoords.through(np.array([0.0, -3.0]), math.pi / 2.0)
-        tau = intersect_ray(parabola, line, np.array([0.0, -3.0]))
-        assert tau == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(parabola.frame(tau).point, [0.0, 0.0], atol=1e-12)
+        rays = reflect_from(parabola, np.array([0.0, -3.0]), math.pi / 2.0)
+        assert rays.ok
+        assert rays.tau0 == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(parabola.frame(rays.tau0).point, [0.0, 0.0], atol=1e-12)
 
     def test_parabola_escape_is_no_intersection(self):
         bnd = Parabola(focal=1.0, x_max=1.0)
         # steep ray that would only meet the ideal parabola beyond the extent
         p = np.array([0.0, -0.5])
-        line = LineCoords.through(p, 0.1)
-        with pytest.raises(NoIntersection):
-            intersect_ray(bnd, line, p)
+        assert np.isnan(bnd.line_intersections(LineCoords.through(p, 0.1).s, 0.1)).all()
+        assert_no_reflection(reflect_from(bnd, p, 0.1))
 
     def test_line_point_consistency(self, circle, ellipse, generic_curve):
         rng = np.random.default_rng(11)
@@ -164,7 +175,7 @@ class TestIntersect:
 
 class TestReflect:
     def test_normal_incidence_bounces_back(self, circle):
-        event = reflect(circle, LineCoords(0.0, 0.0), np.array([-0.5, 0.0]))
+        event = reflect(circle, 0.0, 0.0, -0.5)
         assert event.beta == pytest.approx(0.0, abs=1e-12)
         assert event.line_out.alpha == pytest.approx(math.pi)
         assert event.line_out.s == pytest.approx(0.0, abs=1e-12)
@@ -207,10 +218,8 @@ class TestReflect:
         found = 0
         for _ in range(40):
             alpha = rng.uniform(0.0, 2.0 * math.pi)
-            line = LineCoords.through(f1, alpha)
-            try:
-                event = reflect(ell, line, f1)
-            except GrazingIncidence:
+            event = reflect_from(ell, f1, alpha)
+            if not event.ok:
                 continue
             # the reflected line passes through the other focus
             d = abs(float(np.dot(f2, event.line_out.w)) - event.line_out.s)
@@ -224,17 +233,48 @@ class TestReflect:
         for boundary in (circle, ellipse, parabola, generic_curve):
             for line, p, event in random_admissible_events(boundary, rng, 25):
                 back_start = event.hit_point + 0.3 * event.line_out.v
-                back = reflect(boundary, event.line_out.reversed(), back_start)
+                back = reflect_from(boundary, back_start, event.line_out.alpha + math.pi)
                 expect = line.reversed()
                 assert back.line_out.s == pytest.approx(expect.s, abs=1e-8)
                 diff = (back.line_out.alpha - expect.alpha) % (2 * math.pi)
                 assert min(diff, 2 * math.pi - diff) < 1e-8
 
+    @pytest.mark.parametrize("name", ["circle", "ellipse", "parabola", "generic_curve"])
+    def test_one_ray_matches_reference(self, name, request):
+        # scalar inputs give a 0-d batch that reflects as the per-ray
+        # reference does: an admitted ray, a miss and a graze.  Equal up to
+        # rounding: the reference takes its dot products with np.dot and
+        # its unit vectors from math.sin and math.cos.
+        boundary = request.getfixturevalue(name)
+        (line, p, _), = random_admissible_events(boundary, np.random.default_rng(71), 1)
+        rays = reflect(boundary, line.s, line.alpha, line.coord_of(p), jacobian=True)
+        event = reflect_one(boundary, line, p)
+        assert rays.ok.shape == ()
+        for got, want in ((rays.tau0, event.tau0), (rays.beta, event.beta),
+                          (rays.line_out.s, event.line_out.s),
+                          (rays.alpha2_raw, event.alpha2_raw),
+                          (rays.hit_point, event.hit_point), (rays.jacobian, event.jacobian),
+                          (conjugate_point(p, rays), conjugate_point(p, event))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # a line far outside the mirror, and one that crosses it at the
+        # reference hit 0.01 rad off the tangent
+        tangent_alpha = math.atan2(event.tangent[1], event.tangent[0])
+        miss = LineCoords(10.0, line.alpha)
+        graze = LineCoords.through(event.hit_point, tangent_alpha + 0.01)
+        assert np.isnan(boundary.line_intersections(miss.s, miss.alpha)).all()
+        assert not np.isnan(boundary.line_intersections(graze.s, graze.alpha)).all()
+        for other in (miss, graze):
+            start = other.point_at(-20.0)
+            with pytest.raises(NoReflection):
+                reflect_one(boundary, other, start)
+            assert_no_reflection(reflect(boundary, other.s, other.alpha, other.coord_of(start),
+                                         jacobian=True))
+
 
 class TestJacobian:
     def test_normal_incidence_entries(self, circle):
         # (s, a) = (0, 0) hitting (1, 0): k_s = -1, k_a = -1, kappa = -1
-        event = reflect(circle, LineCoords(0.0, 0.0), np.array([-0.5, 0.0]))
+        event = reflect(circle, 0.0, 0.0, -0.5, jacobian=True)
         J = event.jacobian
         assert J[1, 0] == pytest.approx(2.0)  # da2/ds1 = 2 kappa k_s
         assert J[1, 1] == pytest.approx(1.0)  # da2/da1 = 2 kappa k_a - 1

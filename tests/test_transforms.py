@@ -12,7 +12,6 @@ from brokenray.geometry import (
     Parabola,
     SampledCurve,
     normal,
-    reflect,
 )
 from brokenray.transforms import (
     BrokenRayOperator,
@@ -28,7 +27,13 @@ from brokenray.transforms import (
     radon_adjoint,
     sino_inner,
 )
-from conftest import loop_radon, loop_radon_adjoint, loop_reflection_table, star_curve_points
+from conftest import (
+    loop_radon,
+    loop_radon_adjoint,
+    loop_reflection_table,
+    reflect_one,
+    star_curve_points,
+)
 
 
 def gaussian_image(n=128, half_width=1.0, center=(0.0, 0.0), sigma=0.1, amp=1.0):
@@ -465,7 +470,7 @@ def _chi(op, s, alpha):
     if isinstance(op, ParallelRayOperator):
         return s + op.offset, alpha
     line = LineCoords(s, alpha)
-    event = reflect(op.boundary, line, line.point_at(-4.0 * op.sino_layout.s_max))
+    event = reflect_one(op.boundary, line, line.point_at(-4.0 * op.sino_layout.s_max))
     return event.line_out.s, event.line_out.alpha
 
 
@@ -510,7 +515,7 @@ class TestOneOperator:
         def broken(*args):
             raise RuntimeError("bug in reflect")
 
-        monkeypatch.setattr(transforms, "reflect_rays", broken)
+        monkeypatch.setattr(transforms, "reflect", broken)
         with pytest.raises(RuntimeError):
             BrokenRayOperator(Ellipse(1.4, 0.9), Family.full(), GridImage.zeros(16),
                               SinogramLayout(4, 4, 1.5))
