@@ -506,7 +506,7 @@ def _selftest_checks(n: int, corrupt_adjoint: bool):
         return reflect(boundary, dot2(w, p), alpha, dot2(v, p), jacobian=jacobian)
 
     # every ray from a source near the centre reflects; one that did not
-    # would hold NaN and fail each check below
+    # holds NaN, which np.maximum carries into each deviation below
     circle, ellipse = Circle(1.0), Ellipse(1.4, 0.9)
     mirrors = (
         # (mirror, |x| - R or its ellipse analogue, the normal's direction)
@@ -515,6 +515,7 @@ def _selftest_checks(n: int, corrupt_adjoint: bool):
          lambda x: x / [1.4**2, 0.9**2]),
     )
     off_curve = specular = det = 0.0
+    missed = 0
     for boundary, level, gradient in mirrors:
         p = rng.uniform(-0.4, 0.4, size=(50, 2))
         rays = rays_from(boundary, p, rng.uniform(0.0, 2 * math.pi, size=50), jacobian=True)
@@ -522,17 +523,20 @@ def _selftest_checks(n: int, corrupt_adjoint: bool):
         n_hat = grad / np.hypot(grad[:, 0], grad[:, 1])[:, None]
         v1, v2 = rays.line_in.v, rays.line_out.v
         mirrored = v1 - 2.0 * dot2(v1, n_hat)[:, None] * n_hat
-        off_curve = max(off_curve, np.max(np.abs(level(x))))
-        specular = max(specular, np.max(np.abs(v2 - mirrored)))
-        det = max(det, np.max(np.abs(np.linalg.det(rays.jacobian) - 1.0)))
-    yield "reflection hits lie on the mirror", off_curve < 1e-12, f"max dev={off_curve:.2e}"
+        missed += int(np.count_nonzero(~rays.ok))
+        off_curve = np.maximum(off_curve, np.max(np.abs(level(x))))
+        specular = np.maximum(specular, np.max(np.abs(v2 - mirrored)))
+        det = np.maximum(det, np.max(np.abs(np.linalg.det(rays.jacobian) - 1.0)))
+    yield "reflection hits lie on the mirror", missed == 0 and off_curve < 1e-12, (
+        f"max dev={off_curve:.2e}, {missed} rays not reflected"
+    )
     yield "equal angles to the normal", specular < 1e-12, f"max dev={specular:.2e}"
     yield "reflection det(d chi) = 1", det < 1e-6, f"max|det-1|={det:.2e}"
 
     s, alpha = rng.uniform(-0.4, 0.4, size=50), rng.uniform(0.0, 2 * math.pi, size=50)
     rays = reflect(circle, s, alpha, 0.0)
-    dev = max(np.max(np.abs(rays.line_out.s - s)),
-              np.max(np.abs(rays.line_out.alpha - (alpha + 2.0 * np.arcsin(s) + math.pi))))
+    dev = np.maximum(np.max(np.abs(rays.line_out.s - s)),
+                     np.max(np.abs(rays.line_out.alpha - (alpha + 2.0 * np.arcsin(s) + math.pi))))
     yield "circle: s2 = s1, a2 = a1 + 2 asin(s1/R) + pi", dev < 1e-12, f"max dev={dev:.2e}"
 
     p = rng.uniform(-0.4, 0.4, size=(30, 2))
