@@ -334,17 +334,24 @@ _RECONSTRUCT_KEYS = ("method", "gamma", "gamma_source", "power_steps", "iteratio
                      "residual_first", "residual_last", "relative_error", "sup_error",
                      "reconstruct_elapsed_s")
 POWER_ITERATION_FILE = "power_iteration.npy"
+PHANTOM_FILES = ("phantom.txt", "phantom.pgm", "phantom.pgm.scale")
 
 
-def _record(out: Path, cfg, entries: dict, start: bool = False) -> None:
-    """Write ``entries`` to the run's manifest.  ``forward`` starts it;
-    ``reconstruct`` keeps what it holds for the same config, less the keys
-    an earlier reconstruct wrote, and starts it afresh for another config."""
+def _kept_manifest(out: Path, cfg) -> dict:
+    """What ``reconstruct`` keeps of the run's manifest: the entries of the
+    same config, less the keys an earlier reconstruct wrote; nothing for
+    another config."""
     path = out / "manifest.txt"
-    old = {} if start or not path.exists() else brio.read_manifest(path)
-    same = old.get("config") == cfg.path
-    kept = {k: v for k, v in old.items() if same and k not in _RECONSTRUCT_KEYS}
-    brio.write_manifest(path, {**kept, "experiment": cfg.name, "config": cfg.path, **entries})
+    old = brio.read_manifest(path) if path.exists() else {}
+    if old.get("config") != cfg.path:
+        return {}
+    return {k: v for k, v in old.items() if k not in _RECONSTRUCT_KEYS}
+
+
+def _record(out: Path, cfg, entries: dict, kept: dict) -> None:
+    """Write ``kept`` and ``entries`` as the run's manifest."""
+    brio.write_manifest(out / "manifest.txt",
+                        {**kept, "experiment": cfg.name, "config": cfg.path, **entries})
 
 
 def _step_size(op, out: Path) -> tuple[float, dict]:
@@ -388,7 +395,8 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
         "family": cfg.family_kind,
         "masked_bins": int(np.sum(~g.mask)),
         "forward_elapsed_s": f"{time.time() - t0:.3f}",
-    }, start=True)
+        "phantom_sha256": brio.image_sha256(f),
+    }, kept={})
     (out / "config_resolved.ini").write_text(cfg.serialize())
     print(f"forward: wrote {out/'sinogram.txt'}")
     return 0
@@ -425,13 +433,18 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     entries["relative_error"] = f"{e:.8g}"
     entries["sup_error"] = f"{float(np.max(np.abs(err.data))):.8g}"
     entries["reconstruct_elapsed_s"] = f"{time.time() - t0:.3f}"
-    brio.save_image(out / "phantom.txt", f_true)
-    brio.save_pgm(out / "phantom.pgm", f_true)
+    kept = _kept_manifest(out, cfg)
+    entries["phantom_sha256"] = digest = brio.image_sha256(f_true)
+    # files written from an image with this digest are already these bytes
+    if kept.get("phantom_sha256") != digest or not all(
+            (out / name).exists() for name in PHANTOM_FILES):
+        brio.save_image(out / "phantom.txt", f_true)
+        brio.save_pgm(out / "phantom.pgm", f_true)
     brio.save_image(out / "reconstruction.txt", rec)
     brio.save_pgm(out / "reconstruction.pgm", rec)
     brio.save_image(out / "error_map.txt", err)
     brio.save_pgm(out / "error_map.pgm", err)
-    _record(out, cfg, entries)
+    _record(out, cfg, entries, kept)
     (out / "config_resolved.ini").write_text(cfg.serialize())
     print(f"reconstruct[{method}]: relative error e = {e:.4g}; wrote {out}")
     return 0

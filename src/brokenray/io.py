@@ -11,6 +11,7 @@ every first ``reconstruct``.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -22,11 +23,23 @@ from .conjugate import CausticCurve, ConjugateChain, TangentLocus
 from .transforms import GridImage, Sinogram
 
 
+def _image_header(img: GridImage) -> str:
+    return f"{img.n} {img.x_min:.17g} {img.x_max:.17g} {img.y_min:.17g} {img.y_max:.17g}\n"
+
+
 def save_image(path, img: GridImage) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{img.n} {img.x_min:.17g} {img.x_max:.17g} "
-                 f"{img.y_min:.17g} {img.y_max:.17g}\n")
+        fh.write(_image_header(img))
         np.savetxt(fh, img.data[::-1], fmt="%.17g")
+
+
+def image_sha256(img: GridImage) -> str:
+    """SHA-256 of the image header and its float64 samples.  The text and
+    PGM writers are deterministic, so images with one digest write
+    identical files."""
+    h = hashlib.sha256(_image_header(img).encode())
+    h.update(np.ascontiguousarray(img.data, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def load_image(path) -> GridImage:

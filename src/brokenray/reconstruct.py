@@ -107,7 +107,8 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
     first = None
     grow_streak = 0
     for k in range(cfg.n_iters):
-        r = g.copy_with(g.filled() - op.forward(f).filled())
+        # B 0 = 0, so the first residual is the data itself
+        r = g.copy_with(g.filled() - op.forward(f).filled() if k else g.filled())
         resid = sino_norm(lambda_filter(r, power=0.5) if cfg.use_filter else r)
         if residuals and resid > residuals[-1] * (1.0 + 1e-12):
             grow_streak += 1

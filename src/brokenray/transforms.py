@@ -364,8 +364,12 @@ class Family:
         )
 
     def admits(self, s, alpha, sin_beta, tau0, length: float) -> np.ndarray:
-        """Which rays the family keeps; the arrays broadcast elementwise."""
-        keep = np.ones(np.broadcast(s, alpha, sin_beta, tau0).shape, dtype=bool)
+        """Which rays the family keeps; the arrays broadcast elementwise.
+
+        The vertex arc length ``tau0`` and the mirror's ``length`` are read
+        only by an arc family; others may pass None for both.
+        """
+        keep = np.ones(np.broadcast(s, alpha, sin_beta).shape, dtype=bool)
         if self.forward_tangent:
             keep &= sin_beta > 0.0
         if self.half_plane is not None:
@@ -388,30 +392,36 @@ def _reflection_table(boundary: Boundary, family: Family, layout: SinogramLayout
     The circle gets the closed form (s is conserved, sin beta = s/R);
     other boundaries reflect every bin in one batch, each from a source
     4 s_max back along its line.  Bins that do not reflect hold zeros.
+    The vertex arc length, which costs a quadrature per bin off the
+    circle, is computed only for a family with an arc to test it against.
     """
     s = layout.s_centers
     alphas = layout.alphas
     shape = (layout.n_alpha, layout.n_s)
+    tau0 = length = None
     if isinstance(boundary, Circle):
         R = boundary.radius
-        length = TWO_PI * R
         sin_b = np.clip(s / R, -1.0, 1.0)
         cos_b = np.sqrt(np.maximum(1.0 - sin_b**2, 0.0))
         ok = (np.abs(s) < R) & (cos_b >= GRAZING_COS)
         s2 = np.broadcast_to(s, shape)
         a2 = alphas[:, None] + 2.0 * np.arcsin(sin_b) + math.pi
-        # vertex = exit point of the chord, at t = R cos beta
-        cos_a, sin_a = np.cos(alphas)[:, None], np.sin(alphas)[:, None]
-        t_exit = R * cos_b
-        vx = s * -sin_a + t_exit * cos_a
-        vy = s * cos_a + t_exit * sin_a
-        tau0 = (R * np.arctan2(-vy, vx)) % length
+        if family.arc is not None:
+            # vertex = exit point of the chord, at t = R cos beta
+            cos_a, sin_a = np.cos(alphas)[:, None], np.sin(alphas)[:, None]
+            t_exit = R * cos_b
+            vx = s * -sin_a + t_exit * cos_a
+            vy = s * cos_a + t_exit * sin_a
+            length = TWO_PI * R
+            tau0 = (R * np.arctan2(-vy, vx)) % length
     else:
-        length = boundary.length
         rays = reflect(boundary, s, alphas[:, None], -4.0 * layout.s_max)
         ok = rays.ok
-        sin_b, tau0, s2, a2 = (np.where(ok, x, 0.0) for x in (
-            np.sin(rays.beta), rays.tau0, rays.line_out.s, rays.line_out.alpha))
+        sin_b, s2, a2 = (np.where(ok, x, 0.0) for x in (
+            np.sin(rays.beta), rays.line_out.s, rays.line_out.alpha))
+        if family.arc is not None:
+            length = boundary.length
+            tau0 = np.where(ok, rays.tau0, 0.0)
     mask = ok & family.admits(s, alphas[:, None], sin_b, tau0, length)
     return mask, s2, a2
 

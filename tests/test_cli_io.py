@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,11 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenray.cli import DEFAULT_CONFIG, POWER_ITERATION_FILE, ExperimentConfig, main
+from brokenray.cli import (
+    DEFAULT_CONFIG,
+    PHANTOM_FILES,
+    POWER_ITERATION_FILE,
+    ExperimentConfig,
+    main,
+)
 from brokenray.conjugate import CausticCurve, CausticPoint, LocusZero, TangentLocus
 from brokenray.errors import ConfigError
 from brokenray.geometry import GRAZING_COS, Circle
 from brokenray.io import (
+    image_sha256,
     load_image,
     load_power_iteration,
     load_sinogram,
@@ -441,6 +449,63 @@ def _reconstruct(tmp_path, text, out) -> dict:
         warnings.simplefilter("error")
         assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
     return read_manifest(out / "manifest.txt")
+
+
+class TestPhantomFiles:
+    """``reconstruct`` writes the phantom files unless the manifest records
+    them for the same config and image and all of them exist."""
+
+    @staticmethod
+    def _files(out) -> dict:
+        return {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns)
+                for name in PHANTOM_FILES}
+
+    @staticmethod
+    def _forward(tmp_path, text, out) -> dict:
+        cfg_path = tmp_path / f"{out.name}.ini"
+        cfg_path.write_text(text)
+        assert main(["forward", "--config", str(cfg_path), "--out", str(out)]) == 0
+        # an old stamp, so that any rewrite shows in st_mtime_ns
+        for name in PHANTOM_FILES:
+            os.utime(out / name, ns=(10**18, 10**18))
+        return read_manifest(out / "manifest.txt")
+
+    def test_reconstruct_keeps_what_forward_wrote(self, tmp_path):
+        out = tmp_path / "out"
+        forward = self._forward(tmp_path, SMALL_CONFIG, out)
+        before = self._files(out)
+        manifest = _reconstruct(tmp_path, SMALL_CONFIG, out)
+        assert self._files(out) == before
+        assert manifest["phantom_sha256"] == forward["phantom_sha256"]
+
+    def test_fresh_directory_gets_them(self, tmp_path):
+        out = tmp_path / "out"
+        manifest = _reconstruct(tmp_path, SMALL_CONFIG, out)
+        f = ExperimentConfig.from_string(SMALL_CONFIG).rendered_phantom()
+        assert all((out / name).exists() for name in PHANTOM_FILES)
+        np.testing.assert_array_equal(load_image(out / "phantom.txt").data, f.data)
+        assert manifest["phantom_sha256"] == image_sha256(f)
+
+    def test_changed_phantom_is_rewritten(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        changed = SMALL_CONFIG.replace("center = 0.4 0.0", "center = 0.3 0.1")
+        forward = self._forward(tmp_path, SMALL_CONFIG, out)
+        manifest = _reconstruct(tmp_path, changed, out)
+        _reconstruct(tmp_path, changed, fresh)
+        assert manifest["phantom_sha256"] != forward["phantom_sha256"]
+        for name in PHANTOM_FILES:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_deleted_file_is_rewritten(self, tmp_path):
+        out = tmp_path / "out"
+        self._forward(tmp_path, SMALL_CONFIG, out)
+        before = self._files(out)
+        (out / "phantom.pgm").unlink()
+        _reconstruct(tmp_path, SMALL_CONFIG, out)
+        after = self._files(out)
+        for name in PHANTOM_FILES:
+            assert after[name][0] == before[name][0]
+            assert after[name][1] != before[name][1]
 
 
 class TestStepSizeReplay:

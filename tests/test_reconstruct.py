@@ -23,6 +23,8 @@ from brokenray.transforms import (
     RadonOperator,
     Sinogram,
     SinogramLayout,
+    lambda_filter,
+    sino_norm,
 )
 
 
@@ -131,6 +133,29 @@ class TestLandweber:
         g = op.forward(f)
         res = landweber(g, op, LandweberConfig(n_iters=100, support_mask=mask))
         assert relative_error(f, res.final) < 0.15
+
+    def test_zero_start_skips_one_forward(self, monkeypatch):
+        # B 0 = 0, so three iterations apply B twice and match, bit for bit,
+        # the update that forwards every iterate
+        op = BrokenRayOperator(Circle(1.0), Family.half_plane_incoming(0.3),
+                               GridImage.zeros(32), SinogramLayout(32, 40, 1.0))
+        g = op.forward(render(PhantomSpec.gaussian((0.2, -0.1), 0.1), op.img_layout))
+        gamma = step_size_estimate(op)
+        X, Y = op.img_layout.meshgrid()
+        mask = (np.hypot(X, Y) < 0.8).astype(float)
+        f, firsts, residuals = op.img_layout.layout_like(), [], []
+        for _ in range(3):
+            r = g.copy_with(g.filled() - op.forward(f).filled())
+            residuals.append(sino_norm(lambda_filter(r, power=0.5)))
+            f = f.copy_with((f.data + gamma * op.adjoint(lambda_filter(r)).data) * mask)
+            firsts.append(f)
+        forward, calls = op.forward, []
+        monkeypatch.setattr(op, "forward", lambda x: calls.append(x) or forward(x))
+        res = landweber(g, op, LandweberConfig(step_size=gamma, n_iters=3, support_mask=mask))
+        assert len(calls) == 2
+        assert res.residuals == residuals
+        np.testing.assert_array_equal(res.first.data, firsts[0].data)
+        np.testing.assert_array_equal(res.final.data, f.data)
 
 
 class TestStepSize:

@@ -11,6 +11,7 @@ from brokenray.geometry import (
     LineCoords,
     Parabola,
     SampledCurve,
+    _ClosedCurve,
     normal,
 )
 from brokenray.transforms import (
@@ -529,19 +530,43 @@ TABLE_MIRRORS = {
 }
 
 
+def assert_table_matches(table, reference):
+    mask, s2, a2 = table
+    ref_mask, ref_s2, ref_a2 = reference
+    assert 0 < ref_mask.sum() < ref_mask.size
+    np.testing.assert_array_equal(mask, ref_mask)
+    assert np.max(np.abs(s2 - ref_s2)[mask]) <= 1e-12
+    da2 = np.abs((a2 - ref_a2 + math.pi) % (2.0 * math.pi) - math.pi)
+    assert np.max(da2[mask]) <= 1e-12
+
+
 class TestBatchedReflectionTable:
     @pytest.mark.parametrize("family", ["full", "arc"])
     @pytest.mark.parametrize("mirror", sorted(TABLE_MIRRORS))
     def test_matches_per_bin_oracle(self, mirror, family):
         boundary, lay = TABLE_MIRRORS[mirror]
         fam = Family.full() if family == "full" else Family.boundary_arc(0.5, 3.0)
-        mask, s2, a2 = transforms._reflection_table(boundary, fam, lay)
-        ref_mask, ref_s2, ref_a2 = loop_reflection_table(boundary, fam, lay)
-        assert 0 < ref_mask.sum() < ref_mask.size
-        np.testing.assert_array_equal(mask, ref_mask)
-        assert np.max(np.abs(s2 - ref_s2)[mask]) <= 1e-12
-        da2 = np.abs((a2 - ref_a2 + math.pi) % (2.0 * math.pi) - math.pi)
-        assert np.max(da2[mask]) <= 1e-12
+        assert_table_matches(transforms._reflection_table(boundary, fam, lay),
+                             loop_reflection_table(boundary, fam, lay))
+
+    @pytest.mark.parametrize("family", ["full", "half_plane", "local"])
+    @pytest.mark.parametrize("mirror", ["ellipse", "parabola", "star"])
+    def test_no_arc_length_without_an_arc(self, mirror, family, monkeypatch):
+        # only an arc family reads the vertex arc length, so the others
+        # build the table without the mirror's arc-length machinery
+        boundary, lay = TABLE_MIRRORS[mirror]
+        fam = {"full": Family.full(),
+               "half_plane": Family.half_plane_incoming(0.7),
+               "local": Family.local(LineCoords(0.2, 1.0), 0.5, 0.8)}[family]
+        reference = loop_reflection_table(boundary, fam, lay)
+
+        def forbidden(*args):
+            raise AssertionError("arc length computed for a family without an arc")
+
+        monkeypatch.setattr(_ClosedCurve, "_arclength_table", property(forbidden))
+        monkeypatch.setattr(_ClosedCurve, "tau_of_u", forbidden)
+        monkeypatch.setattr(Parabola, "tau_of_u", forbidden)
+        assert_table_matches(transforms._reflection_table(boundary, fam, lay), reference)
 
 
 class TestFBPIdentity:
