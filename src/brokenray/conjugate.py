@@ -95,7 +95,7 @@ def source_derivatives(p, event: Reflections):
     d s1/d a1 = -<p, v(a1)>.
     """
     J = event.jacobian
-    ds1 = -dot2(np.asarray(p, dtype=float), unit_vectors(event.line_in.alpha)[0])
+    ds1 = -dot2(np.asarray(p, dtype=float), event.line_in.v)
     da2 = J[..., 1, 1] + J[..., 1, 0] * ds1
     ds2 = J[..., 0, 1] + J[..., 0, 0] * ds1
     return da2, ds2
@@ -115,7 +115,7 @@ def conjugate_point(p, event, q0_offset: float = 0.0):
         # conjugate pair of the translation: q = p + w * offset
         return p + event.offset * event.line_in.w
     da2, ds2 = source_derivatives(p, event)
-    v2, w2 = unit_vectors(event.alpha2_raw)
+    v2, w2 = event.line_out.v, event.line_out.w
     q0 = event.hit_point + q0_offset * v2
     # <d q0/d a1, w2> recovered from differentiating <q0, w2> = s2
     dq0_w2 = ds2 + dot2(q0, v2) * da2
@@ -344,12 +344,6 @@ def tangent_conjugate_locus(p, radius: float = 1.0, n_samples: int = 2048) -> Ta
     return TangentLocus(alpha=alpha_arr, t=t_arr, points=pts, zeros=zeros)
 
 
-def locus_residual(p, radius, alpha, t) -> float:
-    """F(alpha, t) for the circular mirror; zero on the tangent locus."""
-    t1, _, cb = _disk_pencil(np.asarray(p, dtype=float), radius, alpha)
-    return (2.0 * t1 / (radius * cb) - 1.0) * (t - t1) - t1
-
-
 def parabola_criterion(a: float, d: float, x0: float) -> bool:
     """Whether the ray from (0, -d) hitting the mirror -4ay = x^2 at
     abscissa x0 produces conjugate points: (a - d)(3/4 x0^2 - a d) > 0."""
@@ -402,12 +396,6 @@ class ConjugateChain:
     def is_complete(self) -> bool:
         return self.status_positive.is_complete and self.status_negative.is_complete
 
-    def entry(self, index: int) -> ChainEntry | None:
-        for e in self.entries:
-            if e.index == index:
-                return e
-        return None
-
 
 def _disk_exit(x, u, radius):
     b = x[0] * u[0] + x[1] * u[1]
@@ -418,10 +406,10 @@ def _disk_exit(x, u, radius):
 def _walk_disk_chain(x0, xi0, u0, radius, max_index, sign, entries):
     """March conjugate covectors around the disk billiard in one direction.
 
-    Returns the ChainStatus for this direction and, unless ``entries`` is
-    None, appends entries with indices sign*1, sign*2, ...  All bounces
-    share the incidence angle, so grazing is decided once from the first
-    chord.
+    Returns the ChainStatus for this direction, whose index carries the
+    walk's sign, and, unless ``entries`` is None, appends entries with
+    indices sign*1, sign*2, ...  All bounces share the incidence angle, so
+    grazing is decided once from the first chord.
 
     Positions are reconstructed from the vertex sequence (a stable
     rotation) and the reciprocal recurrence 1/a_{i+1} = 1/a_i + 2; the raw
@@ -483,7 +471,7 @@ def _walk_disk_chain(x0, xi0, u0, radius, max_index, sign, entries):
             x, u_prev = q, u2
         if outside:
             return ChainStatus("incomplete", idx), False
-    return ChainStatus("truncated", max_index), False
+    return ChainStatus("truncated", sign * max_index), False
 
 
 def conjugate_chain(

@@ -74,11 +74,20 @@ def dot2(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
+def _stack2(x, y):
+    """Arrays x and y of one shape stacked on a new last axis: np.stack
+    without its overhead, which dominates on small batches."""
+    out = np.empty(np.shape(x) + (2,))
+    out[..., 0] = x
+    out[..., 1] = y
+    return out
+
+
 def unit_vectors(alpha):
     """v(alpha) and w(alpha) of an array of angles, stacked on a new last
     axis."""
     c, s = np.cos(alpha), np.sin(alpha)
-    return np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)
+    return _stack2(c, s), _stack2(-s, c)
 
 
 @dataclass(frozen=True)
@@ -99,20 +108,9 @@ class LineCoords:
     def w(self) -> np.ndarray:
         return normal(self.alpha)
 
-    def point_at(self, t: float) -> np.ndarray:
-        """Point s*w + t*v; t is signed arc length along the line."""
-        return self.s * self.w + t * self.v
-
     def coord_of(self, point) -> float:
         """Signed position of (the projection of) a point along the line."""
         return float(np.dot(point, self.v))
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        return abs(float(np.dot(point, self.w)) - self.s) <= tol
-
-    def reversed(self) -> "LineCoords":
-        """Same geometric line traversed backwards."""
-        return LineCoords(-self.s, self.alpha + math.pi)
 
     @staticmethod
     def through(point, alpha: float) -> "LineCoords":
@@ -121,18 +119,13 @@ class LineCoords:
 
 
 class Lines(NamedTuple):
-    """Directed lines {x : <x, w(alpha)> = s} as arrays of (s, alpha)."""
+    """Directed lines {x : <x, w(alpha)> = s} as arrays of (s, alpha), with
+    their unit vectors v(alpha) and w(alpha) stacked on a last axis."""
 
     s: np.ndarray
     alpha: np.ndarray
-
-    @property
-    def v(self) -> np.ndarray:
-        return unit_vectors(self.alpha)[0]
-
-    @property
-    def w(self) -> np.ndarray:
-        return unit_vectors(self.alpha)[1]
+    v: np.ndarray
+    w: np.ndarray
 
     def coord_of(self, points) -> np.ndarray:
         return dot2(points, self.v)
@@ -152,8 +145,10 @@ class Frame(NamedTuple):
 class Reflections:
     """The reflections of arrays of rays: per ray, the hit (curve
     parameter, point, unit tangent, curvature), the incidence angle, the
-    incoming and outgoing lines and, if asked for, ``jacobian`` = d(chi),
-    whose determinant is 1 up to rounding.  Points and tangents stack on a
+    incoming and outgoing lines (with their unit vectors, which the
+    Jacobian, the conjugate points and ``t_hit`` read) and, if asked for,
+    ``jacobian`` = d(chi), whose determinant is 1 up to rounding.  Points
+    and tangents stack on a
     last axis of 2, ``jacobian`` on two last axes.  Angles are not reduced
     mod 2 pi.  Rays that are not ``ok`` (no exit ahead of the source, or
     grazing) hold NaN.
@@ -187,9 +182,9 @@ class Boundary:
     """Common interface of unit-speed, negatively oriented boundaries.
 
     Each boundary has its own curve parameter u (an angle, an abscissa or a
-    spline parameter).  ``line_intersections``, ``frame_u``, ``tau_of_u``
-    and ``inside`` work on arrays; ``frame(tau)`` is the scalar lookup by
-    arc length.
+    spline parameter).  ``line_intersections``, ``exit_crossings``,
+    ``frame_u``, ``tau_of_u`` and ``inside`` work on arrays; ``frame(tau)``
+    is the lookup by arc length, on arrays for a closed mirror.
     """
 
     closed: bool = True
@@ -221,6 +216,12 @@ class Boundary:
         """
         raise NotImplementedError
 
+    def exit_crossings(self, s, alpha) -> np.ndarray:
+        """Curve parameters of the crossings at which a ray along (s, alpha)
+        may leave the mirror, laid out as ``line_intersections``; every
+        crossing unless the mirror knows better."""
+        return self.line_intersections(s, alpha)
+
     def inside(self, x, y, margin: float = 0.0) -> np.ndarray:
         """Which points (x, y) lie inside the mirror, at least ``margin``
         away from it; x and y are arrays of one shape."""
@@ -232,9 +233,9 @@ class _ClosedCurve(Boundary):
 
     Subclasses set the parameter period ``_period`` and the number of table
     cells ``_cells`` and provide ``_speed(u)`` = |gamma0'(u)| and
-    ``_derivatives(u)`` = (gamma0, gamma0', gamma0''), both on arrays.  The
-    base reparametrizes to arc length through a cumulative Gauss-Legendre
-    table.
+    ``_derivatives(u)``, the components ((x, y), (x', y'), (x'', y'')) of
+    gamma0, gamma0' and gamma0'', both on arrays.  The base reparametrizes
+    to arc length through a cumulative Gauss-Legendre table.
     """
 
     _period: float
@@ -268,31 +269,43 @@ class _ClosedCurve(Boundary):
         tau = cum[i] + (self._speed(pts) @ GAUSS_WEIGHTS) * (h / 2.0)
         return tau + turns * cum[-1]
 
-    def u_of_tau(self, tau: float) -> float:
+    def u_of_tau(self, tau):
+        """Curve parameter(s) at arc length(s) tau: Newton on tau_of_u from
+        the table's linear interpolation, at most 4 steps, each value
+        stopping once its step falls below 1e-15."""
         grid, cum = self._arclength_table
-        tau = tau % float(cum[-1])
-        u = float(np.interp(tau, cum, grid))
+        tau = np.asarray(tau, dtype=float) % float(cum[-1])
+        u = np.interp(tau, cum, grid)
+        moving = np.ones(u.shape, dtype=bool)
         for _ in range(4):
-            du = (self.tau_of_u(u) - tau) / float(self._speed(u))
-            u -= du
-            if abs(du) < 1e-15:
+            du = (self.tau_of_u(u) - tau) / self._speed(u)
+            u = np.where(moving, u - du, u)
+            moving &= np.abs(du) >= 1e-15
+            if not moving.any():
                 break
         return u % self._period
 
     def frame_u(self, u) -> Frame:
-        point, d1, d2 = self._derivatives(u)
-        speed = np.hypot(d1[..., 0], d1[..., 1])
-        tangent = d1 / speed[..., None]
+        (x, y), (dx, dy), (ddx, ddy) = self._derivatives(u)
+        speed = np.hypot(dx, dy)
+        tx, ty = dx / speed, dy / speed
         # n = (-ty, tx) is outward for the clockwise traversal
-        outward = np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1)
-        return Frame(point, tangent, outward, cross2(d1, d2) / speed**3)
+        return Frame(_stack2(x, y), _stack2(tx, ty), _stack2(-ty, tx),
+                     (dx * ddy - dy * ddx) / speed**3)
 
 
-def _chord_points(s, alpha, t):
-    """Points s w + t v of the lines (s, alpha) at line coordinates t, which
-    carry one more (last) axis than s and alpha."""
-    v, w = unit_vectors(alpha)
-    return (s[..., None] * w)[..., None, :] + t[..., None] * v[..., None, :]
+def _turn(angle):
+    """``angle % TWO_PI`` for the angles in [-pi, pi] that arctan2 returns,
+    bit for bit (-0 becomes +0), without np.remainder's cost."""
+    return np.where(angle < 0.0, angle + TWO_PI, angle + 0.0)
+
+
+def _chord_points(s, c, sn, t):
+    """Coordinates x, y of the points s w + t v of the lines (s, alpha) at
+    line coordinates t, which carry one more (last) axis than s, c =
+    cos(alpha) and sn = sin(alpha)."""
+    c, sn, s = c[..., None], sn[..., None], s[..., None]
+    return s * -sn + t * c, s * c + t * sn
 
 
 @dataclass(frozen=True)
@@ -315,17 +328,24 @@ class Circle(Boundary):
     def frame_u(self, u) -> Frame:
         r = self.radius
         c, s = np.cos(u), np.sin(u)
-        point = np.stack([r * c, -r * s], axis=-1)
-        tangent = np.stack([-s, -c], axis=-1)
-        outward = np.stack([c, -s], axis=-1)
-        return Frame(point, tangent, outward, 0.0 * u - 1.0 / r)
+        return Frame(_stack2(r * c, -r * s), _stack2(-s, -c), _stack2(c, -s), 0.0 * u - 1.0 / r)
 
     def line_intersections(self, s, alpha) -> np.ndarray:
-        s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(alpha, dtype=float))
+        return self._crossings(s, alpha, far_only=False)
+
+    def exit_crossings(self, s, alpha) -> np.ndarray:
+        # a convex mirror is left only at the far end of a chord
+        return self._crossings(s, alpha, far_only=True)
+
+    def _crossings(self, s, alpha, far_only):
+        """Both ends of each chord, at line coordinates -+ half its length,
+        or only the far one."""
+        s, alpha = np.asarray(s, dtype=float), np.asarray(alpha, dtype=float)
         disc = self.radius**2 - s**2
         half = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-        pts = _chord_points(s, alpha, np.stack([-half, half], axis=-1))
-        return np.arctan2(-pts[..., 1], pts[..., 0]) % TWO_PI
+        t = half[..., None] if far_only else _stack2(-half, half)
+        x, y = _chord_points(s, np.cos(alpha), np.sin(alpha), t)
+        return _turn(np.arctan2(-y, x))
 
     def inside(self, x, y, margin: float = 0.0) -> np.ndarray:
         return np.hypot(x, y) <= self.radius - margin
@@ -348,26 +368,31 @@ class Ellipse(_ClosedCurve):
     def _derivatives(self, theta):
         c, s = np.cos(theta), np.sin(theta)
         a, b = self.a, self.b
-        return (
-            np.stack([a * c, -b * s], axis=-1),
-            np.stack([-a * s, -b * c], axis=-1),
-            np.stack([-a * c, b * s], axis=-1),
-        )
+        return (a * c, -b * s), (-a * s, -b * c), (-a * c, b * s)
 
     def line_intersections(self, s, alpha) -> np.ndarray:
-        # roots t of |(p0 + t v) / (a, b)|^2 = 1 with p0 = s w
-        s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(alpha, dtype=float))
-        v, w = unit_vectors(alpha)
-        p0 = s[..., None] * w
+        return self._crossings(s, alpha, far_only=False)
+
+    def exit_crossings(self, s, alpha) -> np.ndarray:
+        # a convex mirror is left only at the far root of a chord
+        return self._crossings(s, alpha, far_only=True)
+
+    def _crossings(self, s, alpha, far_only):
+        """Both roots t of |(p0 + t v) / (a, b)|^2 = 1 with p0 = s w, or
+        only the far one."""
+        s, alpha = np.asarray(s, dtype=float), np.asarray(alpha, dtype=float)
+        c, sn = np.cos(alpha), np.sin(alpha)
+        px, py = s * -sn, s * c
         a, b = self.a, self.b
-        A = (v[..., 0] / a) ** 2 + (v[..., 1] / b) ** 2
-        B = 2.0 * (p0[..., 0] * v[..., 0] / a**2 + p0[..., 1] * v[..., 1] / b**2)
-        C = (p0[..., 0] / a) ** 2 + (p0[..., 1] / b) ** 2 - 1.0
+        A = (c / a) ** 2 + (sn / b) ** 2
+        B = 2.0 * (px * c / a**2 + py * sn / b**2)
+        C = (px / a) ** 2 + (py / b) ** 2 - 1.0
         disc = B * B - 4.0 * A * C
         sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-        t = np.stack([(-B - sq) / (2 * A), (-B + sq) / (2 * A)], axis=-1)
-        pts = _chord_points(s, alpha, t)
-        return np.arctan2(-pts[..., 1] / b, pts[..., 0] / a) % TWO_PI
+        far = (-B + sq) / (2 * A)
+        t = far[..., None] if far_only else _stack2((-B - sq) / (2 * A), far)
+        x, y = _chord_points(s, c, sn, t)
+        return _turn(np.arctan2(-y / b, x / a))
 
     def inside(self, x, y, margin: float = 0.0) -> np.ndarray:
         shrink = 1.0 - margin / min(self.a, self.b)
@@ -483,7 +508,7 @@ class SampledCurve(_ClosedCurve):
         return np.hypot(d1[..., 0], d1[..., 1])
 
     def _derivatives(self, u):
-        return self._spline(u), self._spline(u, 1), self._spline(u, 2)
+        return tuple((d[..., 0], d[..., 1]) for d in (self._spline(u, k) for k in range(3)))
 
     def line_intersections(self, s, alpha) -> np.ndarray:
         # One sign scan of the scan points against every line, then a
@@ -522,8 +547,7 @@ class SampledCurve(_ClosedCurve):
 
     @cached_property
     def _polygon(self) -> np.ndarray:
-        taus = np.linspace(0.0, self.length, 1024, endpoint=False)
-        return np.array([self.frame(t).point for t in taus])
+        return self.frame(np.linspace(0.0, self.length, 1024, endpoint=False)).point
 
     def inside(self, x, y, margin: float = 0.0) -> np.ndarray:
         # crossing-number test against a dense polygonal sampling, and the
@@ -556,43 +580,56 @@ def _points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _pick(x, first, vector=False):
+    """Per ray, the entry of x at crossing ``first`` (an index array, or
+    None for the only crossing); the crossing axis is x's last, or its
+    last but one for a ``vector`` of 2 components."""
+    if first is None:
+        return x[..., 0, :] if vector else x[..., 0]
+    if vector:
+        return np.take_along_axis(x, first[..., None, None], axis=-2)[..., 0, :]
+    return np.take_along_axis(x, first[..., None], axis=-1)[..., 0]
+
+
 def reflect(boundary: Boundary, s, alpha, t_from, jacobian: bool = False) -> Reflections:
     """The reflection law on arrays of rays.
 
     Ray i runs along the directed line (s[i], alpha[i]) from line
     coordinate t_from[i]; the three arrays broadcast, and scalars give a
     0-d batch.  Each ray reflects at its first outward crossing (<v, n> > 0)
-    strictly ahead of the source, which for a source inside a convex mirror
-    is the exit point of its chord.  Rays that never leave, or leave closer
-    than GRAZING_COS to tangential, are not ``ok``.  ``jacobian=True`` adds
+    strictly ahead of the source among the mirror's ``exit_crossings``; a
+    convex mirror offers one, the far end of the chord, so the frame is
+    evaluated once per ray.  Rays that never leave, or leave closer than
+    GRAZING_COS to tangential, are not ``ok``.  ``jacobian=True`` adds
     d(chi).
     """
     s, alpha, t_from = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (s, alpha, t_from)))
-    v = unit_vectors(alpha)[0]
-    u = boundary.line_intersections(s, alpha)
+    line_in = Lines(s, alpha, *unit_vectors(alpha))
+    c, sn = line_in.v[..., 0], line_in.v[..., 1]
+    u = boundary.exit_crossings(s, alpha)
     fr = boundary.frame_u(u)
-    t = dot2(fr.point, v[..., None, :])
-    cos_b = dot2(fr.normal, v[..., None, :])
+    t = fr.point[..., 0] * c[..., None] + fr.point[..., 1] * sn[..., None]
+    cos_b = fr.normal[..., 0] * c[..., None] + fr.normal[..., 1] * sn[..., None]
     exits = (t > t_from[..., None] + AHEAD_EPS) & (cos_b > 0.0)
-    first = np.argmin(np.where(exits, t, np.inf), axis=-1)[..., None]
-    ok = (np.take_along_axis(exits, first, axis=-1)[..., 0]
-          & (np.take_along_axis(cos_b, first, axis=-1)[..., 0] >= GRAZING_COS))
-    u0 = np.where(ok, np.take_along_axis(u, first, axis=-1)[..., 0], np.nan)
-    fr = boundary.frame_u(u0)
-    beta = np.arcsin(np.clip(dot2(v, fr.tangent), -1.0, 1.0))
+    # the first exit ahead of the source; a convex mirror offers just one
+    first = None if u.shape[-1] == 1 else np.argmin(np.where(exits, t, np.inf), axis=-1)
+    ok = _pick(exits, first) & (_pick(cos_b, first) >= GRAZING_COS)
+    hit_point = np.where(ok[..., None], _pick(fr.point, first, vector=True), np.nan)
+    tangent = np.where(ok[..., None], _pick(fr.tangent, first, vector=True), np.nan)
+    beta = np.arcsin(np.clip(c * tangent[..., 0] + sn * tangent[..., 1], -1.0, 1.0))
     alpha2 = alpha + 2.0 * beta + math.pi
-    s2 = dot2(fr.point, unit_vectors(alpha2)[1])
+    v2, w2 = unit_vectors(alpha2)
     rays = Reflections(
         boundary=boundary,
         ok=ok,
-        u=u0,
+        u=np.where(ok, _pick(u, first), np.nan),
         beta=beta,
-        line_in=Lines(s, alpha),
-        line_out=Lines(s2, alpha2),
-        hit_point=fr.point,
-        tangent=fr.tangent,
-        kappa=fr.kappa,
+        line_in=line_in,
+        line_out=Lines(dot2(hit_point, w2), alpha2, v2, w2),
+        hit_point=hit_point,
+        tangent=tangent,
+        kappa=np.where(ok, _pick(fr.kappa, first), np.nan),
     )
     if jacobian:
         rays.jacobian = reflection_jacobian(rays)
@@ -605,10 +642,10 @@ def reflection_jacobian(event) -> np.ndarray:
     Built from the implicit-function derivatives of the hit parameter,
     k_s = 1/<w(a1), gamma'> and k_a = <v(a1), gamma(tau0)>/<w(a1), gamma'>.
     The determinant is 1 up to rounding.  The entries of each ray stack on
-    two last axes.
+    two last axes.  The unit vectors come from the event's two lines.
     """
-    v1, w1 = unit_vectors(event.line_in.alpha)
-    v2, w2 = unit_vectors(event.alpha2_raw)
+    v1, w1 = event.line_in.v, event.line_in.w
+    v2, w2 = event.line_out.v, event.line_out.w
     gdot = event.tangent
     hit = event.hit_point
     wg1 = dot2(w1, gdot)
@@ -621,5 +658,7 @@ def reflection_jacobian(event) -> np.ndarray:
     vg2 = dot2(v2, hit)
     ds2_ds1 = -vg2 * da2_ds1 + k_s * wg2
     ds2_da1 = -vg2 * da2_da1 + k_a * wg2
-    return np.stack([np.stack([ds2_ds1, ds2_da1], axis=-1),
-                     np.stack([da2_ds1, da2_da1], axis=-1)], axis=-2)
+    jac = np.empty(np.shape(ds2_ds1) + (2, 2))
+    jac[..., 0, 0], jac[..., 0, 1] = ds2_ds1, ds2_da1
+    jac[..., 1, 0], jac[..., 1, 1] = da2_ds1, da2_da1
+    return jac

@@ -15,12 +15,16 @@ from brokenray.geometry import (
     Circle,
     Ellipse,
     LineCoords,
+    Lines,
     Parabola,
+    Reflections,
     SampledCurve,
     direction,
+    dot2,
     normal,
     reflect,
     reflection_jacobian,
+    unit_vectors,
 )
 
 
@@ -29,6 +33,29 @@ def star_curve_points(n=512, base=1.0, amp=0.12, lobes=3):
     phi = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     r = base + amp * np.cos(lobes * phi)
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
+# Line and chain helpers that only the tests need.
+
+
+def point_at(line, t):
+    """The point s w + t v of a LineCoords; t is signed arc length along it."""
+    return line.s * line.w + t * line.v
+
+
+def contains(line, point, tol=1e-9):
+    """Whether a point lies on a LineCoords, up to tol."""
+    return abs(float(np.dot(point, line.w)) - line.s) <= tol
+
+
+def reversed_line(line):
+    """The same geometric line traversed backwards."""
+    return LineCoords(-line.s, line.alpha + math.pi)
+
+
+def chain_entry(chain, index):
+    """The ChainEntry of a conjugate chain with the given index, or None."""
+    return next((e for e in chain.entries if e.index == index), None)
 
 
 @pytest.fixture(scope="session")
@@ -143,6 +170,32 @@ def reflect_one(boundary: Boundary, line_in: LineCoords, from_point) -> Reflecti
     return event
 
 
+def reflect_every_crossing(boundary, s, alpha, t_from):
+    """``geometry.reflect(boundary, s, alpha, t_from, jacobian=True)`` by the
+    generic selection: every crossing from ``line_intersections`` is a
+    candidate, the first outward one ahead of the source is kept, and the
+    frame is evaluated again there.  Arrays only."""
+    s, alpha, t_from = np.broadcast_arrays(s, alpha, t_from)
+    line_in = Lines(s, alpha, *unit_vectors(alpha))
+    u = boundary.line_intersections(s, alpha)
+    fr = boundary.frame_u(u)
+    t = dot2(fr.point, line_in.v[..., None, :])
+    cos_b = dot2(fr.normal, line_in.v[..., None, :])
+    exits = (t > t_from[..., None] + AHEAD_EPS) & (cos_b > 0.0)
+    first = np.argmin(np.where(exits, t, np.inf), axis=-1)[..., None]
+    ok = (np.take_along_axis(exits, first, axis=-1)[..., 0]
+          & (np.take_along_axis(cos_b, first, axis=-1)[..., 0] >= GRAZING_COS))
+    u0 = np.where(ok, np.take_along_axis(u, first, axis=-1)[..., 0], np.nan)
+    fr = boundary.frame_u(u0)
+    beta = np.arcsin(np.clip(dot2(line_in.v, fr.tangent), -1.0, 1.0))
+    alpha2 = alpha + 2.0 * beta + math.pi
+    v2, w2 = unit_vectors(alpha2)
+    rays = Reflections(boundary, ok, u0, beta, line_in, Lines(dot2(fr.point, w2), alpha2, v2, w2),
+                       fr.point, fr.tangent, fr.kappa)
+    rays.jacobian = reflection_jacobian(rays)
+    return rays
+
+
 def reflect_from(boundary, p, alpha):
     """``geometry.reflect`` of the one ray from p at angle alpha: a 0-d
     batch with its Jacobian."""
@@ -161,7 +214,7 @@ def fd_jacobian(boundary, line, from_point, h=1e-5):
 
     def chi(ss, aa):
         moved = LineCoords(ss, aa)
-        event = reflect_one(boundary, moved, moved.point_at(t0))
+        event = reflect_one(boundary, moved, point_at(moved, t0))
         return np.array([event.line_out.s, event.alpha2_raw])
 
     ds = (chi(s + h, a) - chi(s - h, a)) / (2.0 * h)
@@ -287,7 +340,7 @@ def loop_reflection_table(boundary, family, layout):
         for k in range(layout.n_s):
             line = LineCoords(float(s[k]), float(alpha))
             try:
-                event = reflect_one(boundary, line, line.point_at(-4.0 * layout.s_max))
+                event = reflect_one(boundary, line, point_at(line, -4.0 * layout.s_max))
             except NoReflection:
                 continue
             ok[m, k] = True
@@ -358,15 +411,27 @@ def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10,
             np.array([k[2] for k in kept]), breaks, unrefined_outside)
 
 
+def _disk_chord(p, radius, a):
+    """(t1, cos beta) of the ray from p at angle a in the disk: the distance
+    to the mirror and the incidence angle there."""
+    s = float(np.dot(p, normal(a)))
+    t1 = -float(np.dot(p, direction(a))) + math.sqrt(max(radius * radius - s * s, 0.0))
+    return t1, math.sqrt(max(1.0 - (s / radius) ** 2, 0.0))
+
+
+def locus_residual(p, radius, alpha, t):
+    """F(alpha, t) = (2 t1/(R cos b) - 1)(t - t1) - t1 of the ray from p at
+    angle alpha in the disk; zero on the tangent conjugate locus."""
+    t1, cb = _disk_chord(p, radius, alpha)
+    return (2.0 * t1 / (radius * cb) - 1.0) * (t - t1) - t1
+
+
 def per_sample_tangent_locus(p, radius, n_samples):
     """(alpha, t, points) of ``conjugate.tangent_conjugate_locus``, one
     direction at a time."""
     rows = []
     for a in np.linspace(0.0, TWO_PI, n_samples, endpoint=False):
-        v, w = direction(a), normal(a)
-        s = float(np.dot(p, w))
-        t1 = -float(np.dot(p, v)) + math.sqrt(max(radius * radius - s * s, 0.0))
-        cb = math.sqrt(max(1.0 - (s / radius) ** 2, 0.0))
+        t1, cb = _disk_chord(p, radius, a)
         D = 2.0 * t1 / (radius * cb) - 1.0
         if D <= 0.0:
             continue

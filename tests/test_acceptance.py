@@ -55,7 +55,7 @@ from brokenray.transforms import (
     sino_inner,
 )
 
-from conftest import fd_jacobian, random_admissible_events, star_curve_points
+from conftest import chain_entry, fd_jacobian, random_admissible_events, star_curve_points
 from test_conjugate import envelope_intersection
 
 
@@ -296,7 +296,7 @@ def test_ac7_chain_radial_dichotomy():
     # reciprocal recurrence from a0 = 1/2: forward 1/a = 2, 4, 6, ...,
     # backward escape at index -1
     chain = conjugate_chain(Covector([-0.5, 0.0], [0.0, 1.0]), 1.0, max_index=8)
-    recurrence = [round(1.0 / chain.entry(k).a) for k in range(0, 9)]
+    recurrence = [round(1.0 / chain_entry(chain, k).a) for k in range(0, 9)]
     elapsed = time.time() - t0
     report("AC-7", f"completeness == radial on {agree}/{count} grid covectors; "
                    f"1/a sequence {recurrence}; escape at "

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brokenray.conjugate import (
+    ChainStatus,
     Covector,
     Translation,
     caustic_curve,
@@ -12,13 +13,13 @@ from brokenray.conjugate import (
     conjugate_covector,
     conjugate_point,
     is_radial,
-    locus_residual,
     parabola_criterion,
     polygon_artifact_radii,
     source_derivatives,
     tangent_conjugate_locus,
 )
 from brokenray.errors import CenterSource, EmptyCaustic
+from brokenray.io import save_chain_csv
 from brokenray.geometry import (
     Circle,
     Ellipse,
@@ -30,10 +31,14 @@ from brokenray.geometry import (
 )
 
 from conftest import (
+    chain_entry,
+    contains,
     depth_first_caustic,
+    locus_residual,
     per_sample_tangent_locus,
     random_admissible_events,
     reflect_from,
+    reversed_line,
 )
 
 
@@ -190,7 +195,7 @@ class TestConjugatePoint:
         tr = Translation(offset=0.6, line_in=line)
         q = conjugate_point(p, tr)
         np.testing.assert_allclose(q, p + 0.6 * normal(1.1), atol=1e-12)
-        assert tr.line_out.contains(q, tol=1e-9)
+        assert contains(tr.line_out, q, tol=1e-9)
 
 
 class TestConjugateCovector:
@@ -461,13 +466,27 @@ class TestChains:
         # backward 1/a = 0 means escape at index -1
         cv = Covector([-0.5, 0.0], [0.0, 1.0])
         chain = conjugate_chain(cv, radius=1.0, max_index=8)
-        assert chain.entry(0).a == pytest.approx(0.5)
+        assert chain_entry(chain, 0).a == pytest.approx(0.5)
         for k in range(1, 9):
-            assert 1.0 / chain.entry(k).a == pytest.approx(2.0 * (k + 1), rel=1e-9)
+            assert 1.0 / chain_entry(chain, k).a == pytest.approx(2.0 * (k + 1), rel=1e-9)
         assert chain.status_positive.kind == "truncated"
         assert chain.status_negative.kind == "incomplete"
         assert chain.status_negative.index == -1
-        assert chain.entry(-1) is None
+        assert chain_entry(chain, -1) is None
+
+    def test_truncation_carries_the_walks_sign(self, tmp_path):
+        # a nearly radial covector escapes neither way within 8 bounces:
+        # each walk stops at the index of its last entry, sign included
+        cv = Covector([0.3, 0.0], [1.0, 1e-3])
+        for with_entries in (True, False):
+            chain = conjugate_chain(cv, radius=1.0, max_index=8, with_entries=with_entries)
+            assert chain.status_positive == ChainStatus("truncated", 8)
+            assert chain.status_negative == ChainStatus("truncated", -8)
+        chain = conjugate_chain(cv, radius=1.0, max_index=8)
+        assert [e.index for e in chain.entries] == list(range(-8, 9))
+        save_chain_csv(tmp_path / "chain.csv", chain)
+        tail = (tmp_path / "chain.csv").read_text().splitlines()[-2:]
+        assert tail == ["# status_positive,truncated,8", "# status_negative,truncated,-8"]
 
     def test_nonradial_always_incomplete(self):
         rng = np.random.default_rng(61)
@@ -501,7 +520,7 @@ class TestChains:
             else:
                 # negative entries were reached walking backward: the
                 # forward ray retraces their outgoing line
-                incoming = prev.line_out.reversed()
+                incoming = reversed_line(prev.line_out)
             event = reflect(circle, incoming.s, incoming.alpha,
                             incoming.coord_of(prev.covector.x), jacobian=True)
             out = conjugate_covector(prev.covector, event)

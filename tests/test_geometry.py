@@ -6,22 +6,32 @@ from hypothesis import given, strategies as st
 
 from brokenray.conjugate import conjugate_point
 from brokenray.geometry import (
+    GRAZING_COS,
     Circle,
     Ellipse,
     LineCoords,
     Parabola,
     SampledCurve,
+    _points_in_polygon,
+    dot2,
     normalize_angle,
     reflect,
     reflection_jacobian,
+    unit_vectors,
 )
+from brokenray.transforms import GridImage
 
 from conftest import (
     NoReflection,
+    contains,
     fd_jacobian,
+    point_at,
     random_admissible_events,
+    reflect_every_crossing,
     reflect_from,
     reflect_one,
+    reversed_line,
+    star_curve_points,
 )
 
 
@@ -40,8 +50,8 @@ def test_angle_normalization_idempotent(a):
 def test_line_through_point_contains_it(x, y, alpha):
     p = np.array([x, y])
     line = LineCoords.through(p, alpha)
-    assert line.contains(p, tol=1e-8)
-    assert line.reversed().contains(p, tol=1e-8)
+    assert contains(line, p, tol=1e-8)
+    assert contains(reversed_line(line), p, tol=1e-8)
 
 
 class TestFrames:
@@ -234,7 +244,7 @@ class TestReflect:
             for line, p, event in random_admissible_events(boundary, rng, 25):
                 back_start = event.hit_point + 0.3 * event.line_out.v
                 back = reflect_from(boundary, back_start, event.line_out.alpha + math.pi)
-                expect = line.reversed()
+                expect = reversed_line(line)
                 assert back.line_out.s == pytest.approx(expect.s, abs=1e-8)
                 diff = (back.line_out.alpha - expect.alpha) % (2 * math.pi)
                 assert min(diff, 2 * math.pi - diff) < 1e-8
@@ -264,11 +274,114 @@ class TestReflect:
         assert np.isnan(boundary.line_intersections(miss.s, miss.alpha)).all()
         assert not np.isnan(boundary.line_intersections(graze.s, graze.alpha)).all()
         for other in (miss, graze):
-            start = other.point_at(-20.0)
+            start = point_at(other, -20.0)
             with pytest.raises(NoReflection):
                 reflect_one(boundary, other, start)
             assert_no_reflection(reflect(boundary, other.s, other.alpha, other.coord_of(start),
                                          jacobian=True))
+
+
+CONVEX_MIRRORS = {
+    "circle_r0.7": Circle(0.7),
+    "circle_r1": Circle(1.0),
+    "circle_r2.5": Circle(2.5),
+    "ellipse_a>b": Ellipse(1.0, 0.75),
+    "ellipse_a<b": Ellipse(0.6, 1.3),
+}
+
+
+def convex_mirror_rays(boundary, rng, n):
+    """(s, alpha, t_from) of 3 n seeded rays off a mirror star-shaped about
+    the origin: n from sources inside it, n from sources outside it and n
+    along nearly grazing chords, from sources before, on and past them."""
+    def curve_points(scale):
+        return boundary.frame_u(rng.uniform(0.0, 2.0 * math.pi, n)).point * scale[:, None]
+
+    inside = curve_points(0.999 * np.sqrt(rng.uniform(0.0, 1.0, n)))
+    outside = curve_points(rng.uniform(1.001, 3.0, n))
+    alpha = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+    v, w = unit_vectors(alpha)
+    sources = np.concatenate([inside, outside])
+    s, t_from = dot2(sources, w), dot2(sources, v)
+    # chords a little inside a tangent line, crossing it at up to 0.1 rad,
+    # so that some leave the mirror on either side of GRAZING_COS
+    fr = boundary.frame_u(rng.uniform(0.0, 2.0 * math.pi, n))
+    size = float(np.max(np.abs(fr.point)))
+    on_chord = fr.point - (size * rng.uniform(0.0, 1e-3, n))[:, None] * fr.normal
+    graze = (np.arctan2(fr.tangent[:, 1], fr.tangent[:, 0]) + rng.uniform(-0.1, 0.1, n)
+             + math.pi * rng.integers(0, 2, n))
+    gv, gw = unit_vectors(graze)
+    return (np.concatenate([s, dot2(on_chord, gw)]), np.concatenate([alpha, graze]),
+            np.concatenate([t_from, dot2(on_chord, gv) + size * rng.uniform(-2.0, 0.5, n)]))
+
+
+class TestExitCrossings:
+    @pytest.mark.parametrize("name", sorted(CONVEX_MIRRORS))
+    def test_reflect_matches_every_crossing_selection(self, name):
+        # a convex mirror offers only the far crossing of each chord, and
+        # reflect gives bit for bit what the generic selection over both
+        # crossings gives
+        boundary = CONVEX_MIRRORS[name]
+        rng = np.random.default_rng(sorted(CONVEX_MIRRORS).index(name) + 700)
+        s, alpha, t_from = convex_mirror_rays(boundary, rng, 4000)
+        crossings = boundary.line_intersections(s, alpha)
+        exits = boundary.exit_crossings(s, alpha)
+        assert exits.shape == s.shape + (1,)
+        assert np.array_equal(exits, crossings[:, 1:], equal_nan=True)
+        # the near crossing can never be an admitted exit
+        near = boundary.frame_u(crossings[:, 0])
+        assert not np.any(dot2(near.normal, unit_vectors(alpha)[0]) >= GRAZING_COS)
+
+        got = reflect(boundary, s, alpha, t_from, jacobian=True)
+        want = reflect_every_crossing(boundary, s, alpha, t_from)
+        assert 0.2 < np.mean(got.ok) < 0.8
+        cos_b = np.cos(got.beta[got.ok])
+        assert np.sum(cos_b < 2.0 * GRAZING_COS) > 100
+        for field in ("ok", "u", "tau0", "beta", "hit_point", "tangent", "kappa",
+                      "jacobian", "t_hit"):
+            assert np.array_equal(getattr(got, field), getattr(want, field),
+                                  equal_nan=True), field
+        for line in ("line_in", "line_out"):
+            for field in ("s", "alpha", "v", "w"):
+                assert np.array_equal(getattr(getattr(got, line), field),
+                                      getattr(getattr(want, line), field),
+                                      equal_nan=True), (line, field)
+
+
+def scalar_u_of_tau(curve, tau):
+    """The arc-length inversion of a closed curve one value at a time:
+    Newton on tau_of_u from the table's linear interpolation, at most 4
+    steps, stopping once a step falls below 1e-15."""
+    grid, cum = curve._arclength_table
+    tau = tau % float(cum[-1])
+    u = float(np.interp(tau, cum, grid))
+    for _ in range(4):
+        du = (float(curve.tau_of_u(u)) - tau) / float(curve._speed(u))
+        u -= du
+        if abs(du) < 1e-15:
+            break
+    return u % curve._period
+
+
+class TestSampledPolygon:
+    def test_matches_scalar_inversion(self):
+        # the batched polygon against one arc-length inversion per vertex;
+        # the crossing test and the margin's vertex distances then agree
+        from scipy.spatial import cKDTree
+
+        curve = SampledCurve(star_curve_points())
+        taus = np.linspace(0.0, curve.length, 1024, endpoint=False)
+        reference = np.array([curve.frame_u(scalar_u_of_tau(curve, t)).point for t in taus])
+        np.testing.assert_allclose(curve._polygon, reference, rtol=0.0, atol=1e-12)
+        for n in (32, 64, 128):
+            X, Y = GridImage.zeros(n, 1.2).meshgrid()
+            queries = np.column_stack([X.ravel(), Y.ravel()])
+            inside = _points_in_polygon(reference, queries).reshape(X.shape)
+            assert 0 < inside.sum() < inside.size
+            np.testing.assert_array_equal(curve.inside(X, Y), inside)
+            margin = 2.0 * 2.4 / n
+            near = (cKDTree(reference).query(queries)[0] < margin).reshape(X.shape)
+            np.testing.assert_array_equal(curve.inside(X, Y, margin), inside & ~near)
 
 
 class TestJacobian:

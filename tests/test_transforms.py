@@ -32,6 +32,7 @@ from conftest import (
     loop_radon,
     loop_radon_adjoint,
     loop_reflection_table,
+    point_at,
     reflect_one,
     star_curve_points,
 )
@@ -471,7 +472,7 @@ def _chi(op, s, alpha):
     if isinstance(op, ParallelRayOperator):
         return s + op.offset, alpha
     line = LineCoords(s, alpha)
-    event = reflect_one(op.boundary, line, line.point_at(-4.0 * op.sino_layout.s_max))
+    event = reflect_one(op.boundary, line, point_at(line, -4.0 * op.sino_layout.s_max))
     return event.line_out.s, event.line_out.alpha
 
 
