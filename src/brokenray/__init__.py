@@ -15,10 +15,8 @@ from .conjugate import (
     Translation,
     caustic_curve,
     conjugate_chain,
-    conjugate_covector,
     conjugate_point,
     is_radial,
-    parabola_criterion,
     polygon_artifact_radii,
     source_derivatives,
     tangent_conjugate_locus,

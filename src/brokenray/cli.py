@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io as _io
 import math
 import sys
@@ -385,7 +386,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     op = cfg.operator()
     out = _out_dir(args, cfg)
     f = cfg.rendered_phantom()
-    t0 = time.time()
+    t0 = time.perf_counter()
     op.check_support_of(f)
     g = op.forward(f)
     brio.save_image(out / "phantom.txt", f)
@@ -394,7 +395,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     _record(out, cfg, {
         "family": cfg.family_kind,
         "masked_bins": int(np.sum(~g.mask)),
-        "forward_elapsed_s": f"{time.time() - t0:.3f}",
+        "forward_elapsed_s": f"{time.perf_counter() - t0:.3f}",
         "phantom_sha256": brio.image_sha256(f),
     }, kept={})
     (out / "config_resolved.ini").write_text(cfg.serialize())
@@ -410,7 +411,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     g = op.forward(f_true)
     method, lw_cfg = cfg.reconstruction()
     entries = {"method": method}
-    t0 = time.time()
+    t0 = time.perf_counter()
     if method == "fbp":
         rec = fbp(g, op)
     else:
@@ -432,7 +433,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     e = relative_error(f_true, rec)
     entries["relative_error"] = f"{e:.8g}"
     entries["sup_error"] = f"{float(np.max(np.abs(err.data))):.8g}"
-    entries["reconstruct_elapsed_s"] = f"{time.time() - t0:.3f}"
+    entries["reconstruct_elapsed_s"] = f"{time.perf_counter() - t0:.3f}"
     kept = _kept_manifest(out, cfg)
     entries["phantom_sha256"] = digest = brio.image_sha256(f_true)
     # files written from an image with this digest are already these bytes
@@ -581,16 +582,19 @@ def _selftest_checks(n: int, corrupt_adjoint: bool):
 
 
 def cmd_selftest(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = 0
     for name, ok, detail in _selftest_checks(args.n, args.corrupt_adjoint):
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
-    print(f"selftest finished in {time.time() - t0:.1f}s, {failures} failure(s)")
+    print(f"selftest finished in {time.perf_counter() - t0:.1f}s, {failures} failure(s)")
     return 0 if failures == 0 else 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse_args
+    call fills a fresh namespace, so calls share no values."""
     ap = argparse.ArgumentParser(prog="brokenray", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("forward", "reconstruct", "predict"):
@@ -601,8 +605,12 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--out", default=None)
     p.add_argument("--corrupt-adjoint", action="store_true", help=argparse.SUPPRESS)
+    return ap
+
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
 

@@ -19,7 +19,7 @@ Conjugate covectors follow the transport rule
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -31,11 +31,11 @@ from .geometry import (
     Boundary,
     Circle,
     LineCoords,
+    Lines,
     Reflections,
     cross2,
     dot2,
     reflect,
-    rot90,
     unit_vectors,
 )
 
@@ -124,29 +124,6 @@ def conjugate_point(p, event, q0_offset: float = 0.0):
         c = -ds2 / da2
     q = np.asarray(event.line_out.s)[..., None] * w2 + np.asarray(c)[..., None] * v2
     return np.where(exists[..., None], q, np.nan)
-
-
-def conjugate_covector(cv: Covector, event, conormal_tol: float = 1e-6):
-    """Transport a conormal covector through one event, or None.
-
-    ``event`` is a Translation or a 0-d Reflections, one ray.  With
-    xi = lambda * w(alpha1) the partner is
-    eta = lambda / det(d chi) * (d alpha2/d alpha1) * w(alpha2) sitting at
-    the conjugate point of cv.x.
-    """
-    line_in = event.line_in
-    lam = float(np.dot(cv.xi, line_in.w))
-    if np.linalg.norm(cv.xi - lam * line_in.w) > conormal_tol * cv.magnitude:
-        raise ValueError("covector is not conormal to the incoming line")
-    q = conjugate_point(cv.x, event)
-    if np.isnan(q).any():
-        return None
-    if isinstance(event, Translation):
-        return Covector(q, cv.xi.copy())
-    da2, _ = source_derivatives(cv.x, event)
-    det = float(np.linalg.det(event.jacobian))
-    eta = (lam / det) * da2 * event.line_out.w
-    return Covector(q, eta)
 
 
 @dataclass
@@ -344,14 +321,6 @@ def tangent_conjugate_locus(p, radius: float = 1.0, n_samples: int = 2048) -> Ta
     return TangentLocus(alpha=alpha_arr, t=t_arr, points=pts, zeros=zeros)
 
 
-def parabola_criterion(a: float, d: float, x0: float) -> bool:
-    """Whether the ray from (0, -d) hitting the mirror -4ay = x^2 at
-    abscissa x0 produces conjugate points: (a - d)(3/4 x0^2 - a d) > 0."""
-    if a <= 0.0 or d <= 0.0:
-        raise ValueError("focal parameter and source height must be positive")
-    return (a - d) * (0.75 * x0 * x0 - a * d) > 0.0
-
-
 def is_radial(cv: Covector, radius: float = 1.0) -> bool:
     """Whether x is the midpoint of the chord conormal to xi.
 
@@ -376,18 +345,22 @@ class ChainStatus:
 
 
 @dataclass
-class ChainEntry:
-    index: int
-    covector: Covector
-    line_in: LineCoords
-    line_out: LineCoords | None
-    a: float
-    outside_domain: bool = False
-
-
-@dataclass
 class ConjugateChain:
-    entries: list  # ChainEntry, sorted by index
+    """The conjugate covectors (x, xi) of a chain as arrays sorted by
+    ``index``, each with its ``a`` (t1 = R cos(b) (a + 1) on its chord),
+    whether it lies outside the disk, and the chords it is reached along
+    (``line_in``) and sits on (``line_out``).  Index 0 is the covector
+    itself: its ``line_in`` is its own chord and its ``line_out`` the first
+    reflected one, NaN when its chord grazes.  Points and covectors stack
+    on a last axis of 2."""
+
+    index: np.ndarray
+    x: np.ndarray
+    xi: np.ndarray
+    a: np.ndarray
+    outside_domain: np.ndarray
+    line_in: Lines
+    line_out: Lines
     status_positive: ChainStatus
     status_negative: ChainStatus
     grazing: bool = False
@@ -397,48 +370,65 @@ class ConjugateChain:
         return self.status_positive.is_complete and self.status_negative.is_complete
 
 
-def _disk_exit(x, u, radius):
-    b = x[0] * u[0] + x[1] * u[1]
-    disc = radius * radius - (x[0] * x[0] + x[1] * x[1]) + b * b
-    return -b + math.sqrt(max(disc, 0.0))
+def _chord(x, y, ux, uy, radius):
+    """(t1, cos b) of the chord from (x, y) along the unit (ux, uy): the
+    distance to the mirror and the incidence angle there."""
+    s_chord = ux * y - uy * x  # conserved offset; sin(beta) = s/R
+    b = x * ux + y * uy
+    t1 = -b + math.sqrt(max(radius * radius - (x * x + y * y) + b * b, 0.0))
+    return t1, math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
 
 
-def _walk_disk_chain(x0, xi0, u0, radius, max_index, sign, entries):
-    """March conjugate covectors around the disk billiard in one direction.
+def _bounce(x, y, ux, uy, t1, radius):
+    """(vertex x, vertex y, ux', uy'): the reflection of the chord from
+    (x, y) along (ux, uy) at its vertex t1 ahead."""
+    vx, vy = x + t1 * ux, y + t1 * uy
+    n = np.array([vx / radius, vy / radius])
+    # np.dot here and for the walk's lam, not the sum of products: its
+    # rounding sets the last digits that chain.csv writes
+    d = float(np.dot(np.array([ux, uy]), n))
+    return vx, vy, ux - 2.0 * d * n[0], uy - 2.0 * d * n[1]
+
+
+def _lines_through(points, directions) -> Lines:
+    """The directed lines through the points along the directions."""
+    alpha = np.arctan2(directions[:, 1], directions[:, 0])
+    v, w = unit_vectors(alpha)
+    return Lines(dot2(points, w), alpha, v, w)
+
+
+def _walk_disk_chain(x, y, ux, uy, xi, radius, max_index, sign, rows):
+    """March conjugate covectors around the disk billiard in one direction,
+    from the covector (x, y; xi) on the chord along the unit (ux, uy).
 
     Returns the ChainStatus for this direction, whose index carries the
-    walk's sign, and, unless ``entries`` is None, appends entries with
-    indices sign*1, sign*2, ...  All bounces share the incidence angle, so
-    grazing is decided once from the first chord.
+    walk's sign, and whether the chord grazes; unless ``rows`` is None,
+    appends one row per bounce, with indices sign*1, sign*2, ...: index,
+    x, xi, a, outside_domain, then the point and direction of ``line_in``
+    and of ``line_out``.  All bounces share the incidence angle, so grazing
+    is decided once from the first chord.
 
     Positions are reconstructed from the vertex sequence (a stable
     rotation) and the reciprocal recurrence 1/a_{i+1} = 1/a_i + 2; the raw
     point-to-point march amplifies rounding exponentially and cannot follow
     long chains.
     """
-    x = np.array(x0, dtype=float)
-    u = np.array(u0, dtype=float)
-    lam = float(np.dot(xi0, rot90(u)))
-    s_chord = cross2(u, x)  # conserved offset; sin(beta) = s/R
-    cos_b = math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
+    t1, cos_b = _chord(x, y, ux, uy, radius)
     if cos_b < GRAZING_COS:
         return ChainStatus("truncated", 0), True
     half_chord = radius * cos_b
-    t1 = _disk_exit(x, u, radius)
 
-    if entries is not None:
+    if rows is not None:
+        lam = float(np.dot(xi, np.array([-uy, ux])))
         # The vertex sequence is a rigid rotation by a fixed central angle;
         # generate it in closed form so the march stays exact.
-        v1 = x + t1 * u
-        n = v1 / radius
-        u2_first = u - 2.0 * float(np.dot(u, n)) * n
-        v2 = v1 + 2.0 * half_chord * u2_first
-        phi = math.atan2(v1[1], v1[0])
-        delta = math.remainder(math.atan2(v2[1], v2[0]) - phi, TWO_PI)
+        v1x, v1y, u2x, u2y = _bounce(x, y, ux, uy, t1, radius)
+        phi = math.atan2(v1y, v1x)
+        delta = math.remainder(math.atan2(v1y + 2.0 * half_chord * u2y,
+                                          v1x + 2.0 * half_chord * u2x) - phi, TWO_PI)
 
     a = t1 / half_chord - 1.0
     b = math.inf if a == 0.0 else 1.0 / a
-    u_prev = u
     for k in range(1, max_index + 1):
         idx = sign * k
         D = 2.0 * a + 1.0
@@ -450,25 +440,19 @@ def _walk_disk_chain(x0, xi0, u0, radius, max_index, sign, entries):
             return ChainStatus("incomplete", idx), False
         a = 0.0 if math.isinf(b) else 1.0 / b
         outside = abs(a) >= 1.0 - 1e-12
-        if entries is not None:
+        if rows is not None:
             ang = phi + (k - 1) * delta
-            vk = radius * np.array([math.cos(ang), math.sin(ang)])
-            vk1 = radius * np.array([math.cos(ang + delta), math.sin(ang + delta)])
-            u2 = vk1 - vk
-            u2 = u2 / math.hypot(u2[0], u2[1])
-            q = vk + half_chord * (1.0 - a) * u2
+            vx, vy = radius * math.cos(ang), radius * math.sin(ang)
+            u2x = radius * math.cos(ang + delta) - vx
+            u2y = radius * math.sin(ang + delta) - vy
+            norm = math.hypot(u2x, u2y)
+            u2x, u2y = u2x / norm, u2y / norm
+            m = half_chord * (1.0 - a)
+            qx, qy = vx + m * u2x, vy + m * u2y
             lam *= D
-            entries.append(
-                ChainEntry(
-                    index=idx,
-                    covector=Covector(q, lam * rot90(u2)),
-                    line_in=LineCoords.through(x, math.atan2(u_prev[1], u_prev[0])),
-                    line_out=LineCoords.through(vk, math.atan2(u2[1], u2[0])),
-                    a=a,
-                    outside_domain=outside,
-                )
-            )
-            x, u_prev = q, u2
+            rows.append((idx, qx, qy, -lam * u2y, lam * u2x, a, outside,
+                         x, y, ux, uy, vx, vy, u2x, u2y))
+            x, y, ux, uy = qx, qy, u2x, u2y
         if outside:
             return ChainStatus("incomplete", idx), False
     return ChainStatus("truncated", sign * max_index), False
@@ -489,43 +473,38 @@ def conjugate_chain(
     escapes the disk and the chain is incomplete there.
 
     ``with_entries=False`` skips the per-bounce covector construction and
-    returns statuses only, which is much faster on large covector grids.
+    returns statuses only, with empty arrays, which is much faster on large
+    covector grids.
     """
     if float(np.linalg.norm(cv.x)) >= radius:
         raise ValueError("covector must lie strictly inside the disk")
     xin = cv.unit()
-    u0 = np.array([xin[1], -xin[0]])  # chord direction, xi conormal to it
+    x, y = cv.x.tolist()
+    ux, uy = float(xin[1]), -float(xin[0])  # chord direction, xi conormal to it
     radial = is_radial(cv, radius)
 
-    entries = []
-    if with_entries:
-        a0_line = LineCoords.through(cv.x, math.atan2(u0[1], u0[0]))
-        t1 = _disk_exit(cv.x, u0, radius)
-        s_chord = cross2(u0, cv.x)
-        cos_b = math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
-        a0 = t1 / (radius * cos_b) - 1.0 if cos_b > 0 else math.inf
-        first_out = None
-        if cos_b >= GRAZING_COS:
-            vertex = cv.x + t1 * u0
-            n = vertex / radius
-            u2 = u0 - 2.0 * float(np.dot(u0, n)) * n
-            first_out = LineCoords.through(vertex, math.atan2(u2[1], u2[0]))
-        entries.append(
-            ChainEntry(index=0, covector=cv, line_in=a0_line, line_out=first_out, a=a0)
-        )
-        walk_pos = walk_neg = entries
-    else:
-        walk_pos = walk_neg = None
-
-    status_pos, graze_p = _walk_disk_chain(cv.x, cv.xi, u0, radius, max_index, +1, walk_pos)
-    status_neg, graze_n = _walk_disk_chain(cv.x, cv.xi, -u0, radius, max_index, -1, walk_neg)
+    pos, neg = ([], []) if with_entries else (None, None)
+    status_pos, graze_p = _walk_disk_chain(x, y, ux, uy, cv.xi, radius, max_index, +1, pos)
+    status_neg, graze_n = _walk_disk_chain(x, y, -ux, -uy, cv.xi, radius, max_index, -1, neg)
     grazing = graze_p or graze_n
     if radial and not grazing:
         status_pos = ChainStatus("complete")
         status_neg = ChainStatus("complete")
-    entries.sort(key=lambda e: e.index)
+    rows = []
+    if with_entries:
+        t1, cos_b = _chord(x, y, ux, uy, radius)
+        a0 = t1 / (radius * cos_b) - 1.0 if cos_b > 0 else math.inf
+        out = _bounce(x, y, ux, uy, t1, radius) if cos_b >= GRAZING_COS else (math.nan,) * 4
+        rows = neg[::-1] + [(0, x, y, *cv.xi.tolist(), a0, False, x, y, ux, uy, *out)] + pos
+    table = np.array(rows, dtype=float).reshape(-1, 15)
     return ConjugateChain(
-        entries=entries,
+        index=table[:, 0].astype(int),
+        x=table[:, 1:3],
+        xi=table[:, 3:5],
+        a=table[:, 5],
+        outside_domain=table[:, 6].astype(bool),
+        line_in=_lines_through(table[:, 7:9], table[:, 9:11]),
+        line_out=_lines_through(table[:, 11:13], table[:, 13:15]),
         status_positive=status_pos,
         status_negative=status_neg,
         grazing=grazing,

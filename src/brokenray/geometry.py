@@ -563,21 +563,22 @@ class SampledCurve(_ClosedCurve):
 
 
 def _points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd rule crossing test, vectorized over edge chunks."""
+    """Even-odd rule crossing test.  An edge crosses the rightward ray of a
+    point only when the point lies in the edge's half-open y-band
+    min(y0, y1) <= y < max(y0, y1), so each edge is tested against just
+    those points, found by bisection in the points sorted by y."""
     x, y = pts[:, 0], pts[:, 1]
+    order = np.argsort(y, kind="stable")
     x0, y0 = poly[:, 0], poly[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    inside = np.zeros(len(pts), dtype=bool)
-    chunk = 64
-    for i in range(0, len(poly), chunk):
-        a0x, a0y = x0[i : i + chunk, None], y0[i : i + chunk, None]
-        a1x, a1y = x1[i : i + chunk, None], y1[i : i + chunk, None]
-        straddles = (a0y > y[None, :]) != (a1y > y[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = a0x + (y[None, :] - a0y) * (a1x - a0x) / (a1y - a0y)
-        hits = straddles & (x_cross > x[None, :])
-        inside ^= (np.sum(hits, axis=0) % 2).astype(bool)
-    return inside
+    ys = y[order]
+    lo = np.searchsorted(ys, np.minimum(y0, y1))
+    count = np.searchsorted(ys, np.maximum(y0, y1)) - lo
+    # one (edge, point) pair per point in an edge's band, edge by edge
+    edge = np.repeat(np.arange(len(poly)), count)
+    q = order[lo[edge] + np.arange(edge.size) - (np.cumsum(count) - count)[edge]]
+    x_cross = x0[edge] + (y[q] - y0[edge]) * (x1[edge] - x0[edge]) / (y1[edge] - y0[edge])
+    return np.bincount(q[x_cross > x[q]], minlength=len(pts)) % 2 == 1
 
 
 def _pick(x, first, vector=False):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import os
 from pathlib import Path
 
@@ -130,28 +129,25 @@ def save_caustic_csv(path, curve: CausticCurve) -> None:
 
 
 def save_locus_csv(path, locus: TangentLocus) -> None:
-    rows = [(a, t, x, y, "ok") for a, t, (x, y) in
-            zip(locus.alpha.tolist(), locus.t.tolist(), locus.points.tolist())]
-    rows += [(z.alpha, z.t, math.nan, math.nan,
-              f"zero:{z.kind}:{'simple' if z.simple else 'degenerate'}") for z in locus.zeros]
+    table = np.column_stack([locus.alpha, locus.t, locus.points]).ravel().tolist()
+    zeros = [(z.alpha, z.t, f"zero:{z.kind}:{'simple' if z.simple else 'degenerate'}")
+             for z in locus.zeros]
     with open(path, "w") as fh:
         fh.write("alpha,t,x,y,flag\n")
-        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,%s\n", rows)
+        fh.write(("%.12g,%.12g,%.12g,%.12g,ok\n" * len(locus.alpha)) % tuple(table))
+        _write_rows(fh, "%.12g,%.12g,nan,nan,%s\n", zeros)
 
 
 def save_chain_csv(path, chain: ConjugateChain) -> None:
+    rows = [(i, *c, "outside_domain" if out else "ok") for i, c, out in
+            zip(chain.index.tolist(), np.hstack([chain.x, chain.xi]).tolist(),
+                chain.outside_domain.tolist())]
     with open(path, "w") as fh:
         fh.write("index,x,y,xi_x,xi_y,status\n")
-        for e in chain.entries:
-            status = "outside_domain" if e.outside_domain else "ok"
-            fh.write(
-                f"{e.index},{e.covector.x[0]:.12g},{e.covector.x[1]:.12g},"
-                f"{e.covector.xi[0]:.12g},{e.covector.xi[1]:.12g},{status}\n"
-            )
-        fh.write(f"# status_positive,{chain.status_positive.kind},"
-                 f"{chain.status_positive.index}\n")
-        fh.write(f"# status_negative,{chain.status_negative.kind},"
-                 f"{chain.status_negative.index}\n")
+        _write_rows(fh, "%d,%.12g,%.12g,%.12g,%.12g,%s\n", rows)
+        for name, status in (("positive", chain.status_positive),
+                             ("negative", chain.status_negative)):
+            fh.write(f"# status_{name},{status.kind},{status.index}\n")
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -6,7 +6,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from brokenray.conjugate import conjugate_point
+from brokenray.conjugate import (
+    DEGENERATE_TOL,
+    ChainStatus,
+    Covector,
+    Translation,
+    conjugate_point,
+    is_radial,
+    source_derivatives,
+)
 from brokenray.geometry import (
     AHEAD_EPS,
     GRAZING_COS,
@@ -19,11 +27,13 @@ from brokenray.geometry import (
     Parabola,
     Reflections,
     SampledCurve,
+    cross2,
     direction,
     dot2,
     normal,
     reflect,
     reflection_jacobian,
+    rot90,
     unit_vectors,
 )
 
@@ -53,9 +63,168 @@ def reversed_line(line):
     return LineCoords(-line.s, line.alpha + math.pi)
 
 
+@dataclass(eq=False)
+class ChainEntry:
+    """One covector of a conjugate chain with the chords it is reached
+    along and sits on; ``line_out`` is None where index 0's chord grazes."""
+
+    index: int
+    covector: Covector
+    line_in: LineCoords
+    line_out: LineCoords | None
+    a: float
+    outside_domain: bool = False
+
+
+def chain_entries(chain):
+    """The rows of a ConjugateChain's arrays as ChainEntry, by index."""
+    def line(lines, i):
+        s, alpha = float(lines.s[i]), float(lines.alpha[i])
+        return None if math.isnan(s) else LineCoords(s, alpha)
+
+    return [ChainEntry(int(chain.index[i]), Covector(chain.x[i], chain.xi[i]),
+                       line(chain.line_in, i), line(chain.line_out, i),
+                       float(chain.a[i]), bool(chain.outside_domain[i]))
+            for i in range(len(chain.index))]
+
+
 def chain_entry(chain, index):
     """The ChainEntry of a conjugate chain with the given index, or None."""
-    return next((e for e in chain.entries if e.index == index), None)
+    return next((e for e in chain_entries(chain) if e.index == index), None)
+
+
+def conjugate_covector(cv: Covector, event, conormal_tol: float = 1e-6):
+    """Transport a conormal covector through one event, or None.
+
+    ``event`` is a Translation or a 0-d Reflections, one ray.  With
+    xi = lambda * w(alpha1) the partner is
+    eta = lambda / det(d chi) * (d alpha2/d alpha1) * w(alpha2) sitting at
+    the conjugate point of cv.x.
+    """
+    line_in = event.line_in
+    lam = float(np.dot(cv.xi, line_in.w))
+    if np.linalg.norm(cv.xi - lam * line_in.w) > conormal_tol * cv.magnitude:
+        raise ValueError("covector is not conormal to the incoming line")
+    q = conjugate_point(cv.x, event)
+    if np.isnan(q).any():
+        return None
+    if isinstance(event, Translation):
+        return Covector(q, cv.xi.copy())
+    da2, _ = source_derivatives(cv.x, event)
+    det = float(np.linalg.det(event.jacobian))
+    eta = (lam / det) * da2 * event.line_out.w
+    return Covector(q, eta)
+
+
+def parabola_criterion(a: float, d: float, x0: float) -> bool:
+    """Whether the ray from (0, -d) hitting the mirror -4ay = x^2 at
+    abscissa x0 produces conjugate points: (a - d)(3/4 x0^2 - a d) > 0."""
+    if a <= 0.0 or d <= 0.0:
+        raise ValueError("focal parameter and source height must be positive")
+    return (a - d) * (0.75 * x0 * x0 - a * d) > 0.0
+
+
+# Reference conjugate chain for conjugate.conjugate_chain: one ChainEntry
+# per bounce on numpy 2-vectors, as the chain was built before it became
+# arrays.  Its covectors and a values are the chain's bit for bit.
+
+
+def _disk_exit(x, u, radius):
+    b = x[0] * u[0] + x[1] * u[1]
+    disc = radius * radius - (x[0] * x[0] + x[1] * x[1]) + b * b
+    return -b + math.sqrt(max(disc, 0.0))
+
+
+def _per_entry_walk(x0, xi0, u0, radius, max_index, sign, entries):
+    x = np.array(x0, dtype=float)
+    u = np.array(u0, dtype=float)
+    lam = float(np.dot(xi0, rot90(u)))
+    s_chord = cross2(u, x)
+    cos_b = math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
+    if cos_b < GRAZING_COS:
+        return ChainStatus("truncated", 0), True
+    half_chord = radius * cos_b
+    t1 = _disk_exit(x, u, radius)
+    v1 = x + t1 * u
+    n = v1 / radius
+    u2_first = u - 2.0 * float(np.dot(u, n)) * n
+    v2 = v1 + 2.0 * half_chord * u2_first
+    phi = math.atan2(v1[1], v1[0])
+    delta = math.remainder(math.atan2(v2[1], v2[0]) - phi, TWO_PI)
+    a = t1 / half_chord - 1.0
+    b = math.inf if a == 0.0 else 1.0 / a
+    u_prev = u
+    for k in range(1, max_index + 1):
+        idx = sign * k
+        D = 2.0 * a + 1.0
+        if D <= DEGENERATE_TOL:
+            return ChainStatus("incomplete", idx), False
+        b += 2.0
+        if abs(b) < DEGENERATE_TOL:
+            return ChainStatus("incomplete", idx), False
+        a = 0.0 if math.isinf(b) else 1.0 / b
+        outside = abs(a) >= 1.0 - 1e-12
+        ang = phi + (k - 1) * delta
+        vk = radius * np.array([math.cos(ang), math.sin(ang)])
+        vk1 = radius * np.array([math.cos(ang + delta), math.sin(ang + delta)])
+        u2 = vk1 - vk
+        u2 = u2 / math.hypot(u2[0], u2[1])
+        q = vk + half_chord * (1.0 - a) * u2
+        lam *= D
+        entries.append(ChainEntry(
+            index=idx, covector=Covector(q, lam * rot90(u2)),
+            line_in=LineCoords.through(x, math.atan2(u_prev[1], u_prev[0])),
+            line_out=LineCoords.through(vk, math.atan2(u2[1], u2[0])),
+            a=a, outside_domain=outside))
+        x, u_prev = q, u2
+        if outside:
+            return ChainStatus("incomplete", idx), False
+    return ChainStatus("truncated", sign * max_index), False
+
+
+def per_entry_chain(cv: Covector, radius: float, max_index: int):
+    """(entries, status_positive, status_negative, grazing) of
+    ``conjugate.conjugate_chain(cv, radius, max_index)``, entries sorted by
+    index."""
+    xin = cv.unit()
+    u0 = np.array([xin[1], -xin[0]])
+    t1 = _disk_exit(cv.x, u0, radius)
+    s_chord = cross2(u0, cv.x)
+    cos_b = math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
+    first_out = None
+    if cos_b >= GRAZING_COS:
+        vertex = cv.x + t1 * u0
+        n = vertex / radius
+        u2 = u0 - 2.0 * float(np.dot(u0, n)) * n
+        first_out = LineCoords.through(vertex, math.atan2(u2[1], u2[0]))
+    entries = [ChainEntry(0, cv, LineCoords.through(cv.x, math.atan2(u0[1], u0[0])), first_out,
+                          t1 / (radius * cos_b) - 1.0 if cos_b > 0 else math.inf)]
+    pos, graze_p = _per_entry_walk(cv.x, cv.xi, u0, radius, max_index, +1, entries)
+    neg, graze_n = _per_entry_walk(cv.x, cv.xi, -u0, radius, max_index, -1, entries)
+    grazing = graze_p or graze_n
+    if is_radial(cv, radius) and not grazing:
+        pos = neg = ChainStatus("complete")
+    entries.sort(key=lambda e: e.index)
+    return entries, pos, neg, grazing
+
+
+def chunked_points_in_polygon(poly, pts):
+    """Even-odd rule crossing test of every point against every edge, in
+    chunks of 64 edges: the reference for ``geometry._points_in_polygon``."""
+    x, y = pts[:, 0], pts[:, 1]
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    inside = np.zeros(len(pts), dtype=bool)
+    chunk = 64
+    for i in range(0, len(poly), chunk):
+        a0x, a0y = x0[i : i + chunk, None], y0[i : i + chunk, None]
+        a1x, a1y = x1[i : i + chunk, None], y1[i : i + chunk, None]
+        straddles = (a0y > y[None, :]) != (a1y > y[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = a0x + (y[None, :] - a0y) * (a1x - a0x) / (a1y - a0y)
+        hits = straddles & (x_cross > x[None, :])
+        inside ^= (np.sum(hits, axis=0) % 2).astype(bool)
+    return inside
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from brokenray.conjugate import (
     conjugate_point,
     caustic_curve,
     is_radial,
-    parabola_criterion,
     polygon_artifact_radii,
     source_derivatives,
 )
@@ -55,7 +54,14 @@ from brokenray.transforms import (
     sino_inner,
 )
 
-from conftest import chain_entry, fd_jacobian, random_admissible_events, star_curve_points
+from conftest import (
+    chain_entries,
+    chain_entry,
+    fd_jacobian,
+    parabola_criterion,
+    random_admissible_events,
+    star_curve_points,
+)
 from test_conjugate import envelope_intersection
 
 
@@ -424,7 +430,7 @@ def test_ac9_polygon_artifact_radii(radial_run):
     chain = conjugate_chain(cv, 1.0, max_index=16)
     assert chain.is_complete
     seen = {}
-    for e in chain.entries:
+    for e in chain_entries(chain):
         key = (round(e.covector.x[0], 9), round(e.covector.x[1], 9))
         host = e.line_in if e.index == 0 else e.line_out
         seen.setdefault(key, (e.covector.x.copy(), host.v))

@@ -20,9 +20,16 @@ from brokenray.cli import (
     ExperimentConfig,
     main,
 )
-from brokenray.conjugate import CausticCurve, CausticPoint, LocusZero, TangentLocus
+from brokenray.conjugate import (
+    CausticCurve,
+    CausticPoint,
+    ChainStatus,
+    ConjugateChain,
+    LocusZero,
+    TangentLocus,
+)
 from brokenray.errors import ConfigError
-from brokenray.geometry import GRAZING_COS, Circle
+from brokenray.geometry import GRAZING_COS, Circle, Lines, unit_vectors
 from brokenray.io import (
     image_sha256,
     load_image,
@@ -32,6 +39,7 @@ from brokenray.io import (
     save_image,
     save_power_iteration,
     save_caustic_csv,
+    save_chain_csv,
     save_locus_csv,
     save_pgm,
     save_sinogram,
@@ -152,6 +160,20 @@ def test_prediction_csvs_keep_the_per_row_format(tmp_path):
     save_locus_csv(tmp_path / "locus.csv", locus)
     assert (tmp_path / "locus.csv").read_text() == expected
     assert "zero:through_center:degenerate" in expected and "-0," in expected
+
+    lines = Lines(rows[:, 0], rows[:, 1], *unit_vectors(rows[:, 1]))
+    chain = ConjugateChain(index=np.arange(-3, 5), x=rows[:, :2], xi=rows[:, 2:], a=rows[:, 3],
+                           outside_domain=np.arange(8) % 3 == 2, line_in=lines, line_out=lines,
+                           status_positive=ChainStatus("truncated", 4),
+                           status_negative=ChainStatus("incomplete", -3))
+    expected = "index,x,y,xi_x,xi_y,status\n" + "".join(
+        f"{i},{x[0]:.12g},{x[1]:.12g},{xi[0]:.12g},{xi[1]:.12g},"
+        f"{'outside_domain' if out else 'ok'}\n"
+        for i, x, xi, out in zip(range(-3, 5), chain.x, chain.xi, chain.outside_domain))
+    save_chain_csv(tmp_path / "chain.csv", chain)
+    assert (tmp_path / "chain.csv").read_text() == expected + (
+        "# status_positive,truncated,4\n# status_negative,incomplete,-3\n")
+    assert "outside_domain" in expected and "-0," in expected
 
 
 class TestConfig:
@@ -703,3 +725,40 @@ def test_usage_error_exits_1(argv, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: brokenray")
+
+
+def test_one_parser_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    # every call parses with the one parser built for the process; each
+    # command sees only what its own command line gave, so the --out of a
+    # rejected call does not become the default of the next
+    from brokenray import cli
+
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.ini").write_text(SMALL_CONFIG)
+    seen = []
+    for name in ("cmd_forward", "cmd_predict"):
+        def record(cfg, args, command=getattr(cli, name)):
+            seen.append(vars(args).copy())
+            return command(cfg, args)
+        monkeypatch.setattr(cli, name, record)
+    help_text = cli._parser().format_help()
+    calls = [
+        ["predict", "--out", "usage"],  # no --config
+        ["predict", "--config", "cfg.ini"],
+        ["--help"],
+        ["sideways", "--config", "cfg.ini"],
+        ["forward", "--config", "cfg.ini", "--out", "b"],
+    ]
+    codes, errors = [], []
+    for argv in calls:
+        codes.append(main(argv))
+        errors.append(capsys.readouterr().err)
+    assert codes == [1, 0, 0, 1, 0]
+    assert errors[0].startswith("usage: brokenray predict") and "--config" in errors[0]
+    assert errors[3].startswith("usage: brokenray") and "sideways" in errors[3]
+    assert seen == [{"command": "predict", "config": "cfg.ini", "out": None},
+                    {"command": "forward", "config": "cfg.ini", "out": "b"}]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "cfg.ini", "runs"]
+    assert (tmp_path / "runs" / "smoke" / "chain.csv").exists()
+    assert cli._parser() is cli._parser()
+    assert cli._parser().format_help() == help_text

@@ -23,6 +23,7 @@ from brokenray.transforms import GridImage
 
 from conftest import (
     NoReflection,
+    chunked_points_in_polygon,
     contains,
     fd_jacobian,
     point_at,
@@ -376,12 +377,31 @@ class TestSampledPolygon:
         for n in (32, 64, 128):
             X, Y = GridImage.zeros(n, 1.2).meshgrid()
             queries = np.column_stack([X.ravel(), Y.ravel()])
-            inside = _points_in_polygon(reference, queries).reshape(X.shape)
+            inside = chunked_points_in_polygon(reference, queries).reshape(X.shape)
             assert 0 < inside.sum() < inside.size
             np.testing.assert_array_equal(curve.inside(X, Y), inside)
             margin = 2.0 * 2.4 / n
             near = (cKDTree(reference).query(queries)[0] < margin).reshape(X.shape)
             np.testing.assert_array_equal(curve.inside(X, Y, margin), inside & ~near)
+
+
+    def test_band_rule_matches_chunked_rule(self):
+        # each edge meets only the points of its own y-band; the booleans
+        # are those of testing every point against every edge
+        poly = SampledCurve(star_curve_points())._polygon
+        X, Y = GridImage.zeros(64, 1.2).meshgrid()
+        grid = np.column_stack([X.ravel(), Y.ravel()])
+        rng = np.random.default_rng(71)
+        scattered = rng.uniform(-1.3, 1.3, size=(5000, 2))
+        # points level with a vertex sit on the closed end of one band and
+        # the open end of the next; every third one is the vertex itself
+        heights = np.repeat(poly[:, 1], 3)
+        level = np.column_stack([rng.uniform(-1.3, 1.3, heights.size), heights])
+        level[::3, 0] = poly[:, 0]
+        for pts in (grid, scattered, level):
+            inside = _points_in_polygon(poly, pts)
+            assert 0 < inside.sum() < len(pts)
+            np.testing.assert_array_equal(inside, chunked_points_in_polygon(poly, pts))
 
 
 class TestJacobian:
