@@ -31,7 +31,6 @@ from .geometry import (
     Boundary,
     Circle,
     LineCoords,
-    Lines,
     Reflections,
     cross2,
     dot2,
@@ -347,20 +346,13 @@ class ChainStatus:
 @dataclass
 class ConjugateChain:
     """The conjugate covectors (x, xi) of a chain as arrays sorted by
-    ``index``, each with its ``a`` (t1 = R cos(b) (a + 1) on its chord),
-    whether it lies outside the disk, and the chords it is reached along
-    (``line_in``) and sits on (``line_out``).  Index 0 is the covector
-    itself: its ``line_in`` is its own chord and its ``line_out`` the first
-    reflected one, NaN when its chord grazes.  Points and covectors stack
-    on a last axis of 2."""
+    ``index``, with whether each lies outside the disk.  Index 0 is the
+    covector itself.  Points and covectors stack on a last axis of 2."""
 
     index: np.ndarray
     x: np.ndarray
     xi: np.ndarray
-    a: np.ndarray
     outside_domain: np.ndarray
-    line_in: Lines
-    line_out: Lines
     status_positive: ChainStatus
     status_negative: ChainStatus
     grazing: bool = False
@@ -370,33 +362,6 @@ class ConjugateChain:
         return self.status_positive.is_complete and self.status_negative.is_complete
 
 
-def _chord(x, y, ux, uy, radius):
-    """(t1, cos b) of the chord from (x, y) along the unit (ux, uy): the
-    distance to the mirror and the incidence angle there."""
-    s_chord = ux * y - uy * x  # conserved offset; sin(beta) = s/R
-    b = x * ux + y * uy
-    t1 = -b + math.sqrt(max(radius * radius - (x * x + y * y) + b * b, 0.0))
-    return t1, math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
-
-
-def _bounce(x, y, ux, uy, t1, radius):
-    """(vertex x, vertex y, ux', uy'): the reflection of the chord from
-    (x, y) along (ux, uy) at its vertex t1 ahead."""
-    vx, vy = x + t1 * ux, y + t1 * uy
-    n = np.array([vx / radius, vy / radius])
-    # np.dot here and for the walk's lam, not the sum of products: its
-    # rounding sets the last digits that chain.csv writes
-    d = float(np.dot(np.array([ux, uy]), n))
-    return vx, vy, ux - 2.0 * d * n[0], uy - 2.0 * d * n[1]
-
-
-def _lines_through(points, directions) -> Lines:
-    """The directed lines through the points along the directions."""
-    alpha = np.arctan2(directions[:, 1], directions[:, 0])
-    v, w = unit_vectors(alpha)
-    return Lines(dot2(points, w), alpha, v, w)
-
-
 def _walk_disk_chain(x, y, ux, uy, xi, radius, max_index, sign, rows):
     """March conjugate covectors around the disk billiard in one direction,
     from the covector (x, y; xi) on the chord along the unit (ux, uy).
@@ -404,25 +369,33 @@ def _walk_disk_chain(x, y, ux, uy, xi, radius, max_index, sign, rows):
     Returns the ChainStatus for this direction, whose index carries the
     walk's sign, and whether the chord grazes; unless ``rows`` is None,
     appends one row per bounce, with indices sign*1, sign*2, ...: index,
-    x, xi, a, outside_domain, then the point and direction of ``line_in``
-    and of ``line_out``.  All bounces share the incidence angle, so grazing
-    is decided once from the first chord.
+    x, xi, outside_domain.  All bounces share the incidence angle, so
+    grazing is decided once from the first chord.
 
     Positions are reconstructed from the vertex sequence (a stable
     rotation) and the reciprocal recurrence 1/a_{i+1} = 1/a_i + 2; the raw
     point-to-point march amplifies rounding exponentially and cannot follow
     long chains.
     """
-    t1, cos_b = _chord(x, y, ux, uy, radius)
+    s_chord = ux * y - uy * x  # conserved offset; sin(beta) = s/R
+    cos_b = math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
     if cos_b < GRAZING_COS:
         return ChainStatus("truncated", 0), True
     half_chord = radius * cos_b
+    xu = x * ux + y * uy
+    t1 = -xu + math.sqrt(max(radius * radius - (x * x + y * y) + xu * xu, 0.0))
 
     if rows is not None:
+        # np.dot for lam and for the reflection at the first vertex, not
+        # the sum of products: its rounding sets the last digits that
+        # chain.csv writes
         lam = float(np.dot(xi, np.array([-uy, ux])))
+        v1x, v1y = x + t1 * ux, y + t1 * uy
+        n = np.array([v1x / radius, v1y / radius])
+        d = float(np.dot(np.array([ux, uy]), n))
+        u2x, u2y = ux - 2.0 * d * n[0], uy - 2.0 * d * n[1]
         # The vertex sequence is a rigid rotation by a fixed central angle;
         # generate it in closed form so the march stays exact.
-        v1x, v1y, u2x, u2y = _bounce(x, y, ux, uy, t1, radius)
         phi = math.atan2(v1y, v1x)
         delta = math.remainder(math.atan2(v1y + 2.0 * half_chord * u2y,
                                           v1x + 2.0 * half_chord * u2x) - phi, TWO_PI)
@@ -450,9 +423,7 @@ def _walk_disk_chain(x, y, ux, uy, xi, radius, max_index, sign, rows):
             m = half_chord * (1.0 - a)
             qx, qy = vx + m * u2x, vy + m * u2y
             lam *= D
-            rows.append((idx, qx, qy, -lam * u2y, lam * u2x, a, outside,
-                         x, y, ux, uy, vx, vy, u2x, u2y))
-            x, y, ux, uy = qx, qy, u2x, u2y
+            rows.append((idx, qx, qy, -lam * u2y, lam * u2x, outside))
         if outside:
             return ChainStatus("incomplete", idx), False
     return ChainStatus("truncated", sign * max_index), False
@@ -490,21 +461,13 @@ def conjugate_chain(
     if radial and not grazing:
         status_pos = ChainStatus("complete")
         status_neg = ChainStatus("complete")
-    rows = []
-    if with_entries:
-        t1, cos_b = _chord(x, y, ux, uy, radius)
-        a0 = t1 / (radius * cos_b) - 1.0 if cos_b > 0 else math.inf
-        out = _bounce(x, y, ux, uy, t1, radius) if cos_b >= GRAZING_COS else (math.nan,) * 4
-        rows = neg[::-1] + [(0, x, y, *cv.xi.tolist(), a0, False, x, y, ux, uy, *out)] + pos
-    table = np.array(rows, dtype=float).reshape(-1, 15)
+    rows = neg[::-1] + [(0, x, y, *cv.xi.tolist(), False)] + pos if with_entries else []
+    table = np.array(rows, dtype=float).reshape(-1, 6)
     return ConjugateChain(
         index=table[:, 0].astype(int),
         x=table[:, 1:3],
         xi=table[:, 3:5],
-        a=table[:, 5],
-        outside_domain=table[:, 6].astype(bool),
-        line_in=_lines_through(table[:, 7:9], table[:, 9:11]),
-        line_out=_lines_through(table[:, 11:13], table[:, 13:15]),
+        outside_domain=table[:, 5].astype(bool),
         status_positive=status_pos,
         status_negative=status_neg,
         grazing=grazing,

@@ -12,7 +12,6 @@ every first ``reconstruct``.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from pathlib import Path
 
@@ -109,42 +108,42 @@ def save_pgm(path, img: GridImage) -> None:
         fh.write(f"min {lo:.17g}\nmax {hi:.17g}\n")
 
 
-def _write_rows(fh, fmt: str, rows: list) -> None:
-    """Write every row with one %-format over a flat tuple; ``fmt`` formats
-    one row, newline included."""
-    fh.write((fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+def _write_rows(fh, fmt: str, values: list) -> None:
+    """Write ``values``, flat and row after row, with one %-format; ``fmt``
+    formats one row, newline included, with one conversion per value."""
+    fh.write((fmt * (len(values) // fmt.count("%"))) % tuple(values))
 
 
 def save_caustic_csv(path, curve: CausticCurve) -> None:
     """One row per point, then ``# unrefined_outside,<count>,refine_dist,<d>``:
     how many intervals longer than ``refine_dist`` were left unbisected
     because both their ends lie outside the mirror."""
-    rows = [(cp.alpha, cp.t, *cp.point.tolist(), "outside_domain" if cp.outside_domain else "ok")
-            for cp in curve.points]
+    values = [v for cp in curve.points for v in
+              (cp.alpha, cp.t, *cp.point.tolist(), "outside_domain" if cp.outside_domain else "ok")]
     with open(path, "w") as fh:
         fh.write("alpha,t,x,y,flag\n")
-        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,%s\n", rows)
+        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,%s\n", values)
         fh.write(f"# unrefined_outside,{curve.unrefined_outside},"
                  f"refine_dist,{curve.refine_dist}\n")
 
 
 def save_locus_csv(path, locus: TangentLocus) -> None:
-    table = np.column_stack([locus.alpha, locus.t, locus.points]).ravel().tolist()
-    zeros = [(z.alpha, z.t, f"zero:{z.kind}:{'simple' if z.simple else 'degenerate'}")
-             for z in locus.zeros]
+    zeros = [v for z in locus.zeros for v in
+             (z.alpha, z.t, f"zero:{z.kind}:{'simple' if z.simple else 'degenerate'}")]
     with open(path, "w") as fh:
         fh.write("alpha,t,x,y,flag\n")
-        fh.write(("%.12g,%.12g,%.12g,%.12g,ok\n" * len(locus.alpha)) % tuple(table))
+        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,ok\n",
+                    np.column_stack([locus.alpha, locus.t, locus.points]).ravel().tolist())
         _write_rows(fh, "%.12g,%.12g,nan,nan,%s\n", zeros)
 
 
 def save_chain_csv(path, chain: ConjugateChain) -> None:
-    rows = [(i, *c, "outside_domain" if out else "ok") for i, c, out in
-            zip(chain.index.tolist(), np.hstack([chain.x, chain.xi]).tolist(),
-                chain.outside_domain.tolist())]
+    values = [v for i, c, out in zip(chain.index.tolist(), np.hstack([chain.x, chain.xi]).tolist(),
+                                     chain.outside_domain.tolist())
+              for v in (i, *c, "outside_domain" if out else "ok")]
     with open(path, "w") as fh:
         fh.write("index,x,y,xi_x,xi_y,status\n")
-        _write_rows(fh, "%d,%.12g,%.12g,%.12g,%.12g,%s\n", rows)
+        _write_rows(fh, "%d,%.12g,%.12g,%.12g,%.12g,%s\n", values)
         for name, status in (("positive", chain.status_positive),
                              ("negative", chain.status_negative)):
             fh.write(f"# status_{name},{status.kind},{status.index}\n")

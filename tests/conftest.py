@@ -11,6 +11,7 @@ from brokenray.conjugate import (
     ChainStatus,
     Covector,
     Translation,
+    conjugate_chain,
     conjugate_point,
     is_radial,
     source_derivatives,
@@ -76,21 +77,24 @@ class ChainEntry:
     outside_domain: bool = False
 
 
-def chain_entries(chain):
-    """The rows of a ConjugateChain's arrays as ChainEntry, by index."""
-    def line(lines, i):
-        s, alpha = float(lines.s[i]), float(lines.alpha[i])
-        return None if math.isnan(s) else LineCoords(s, alpha)
+def chain_entries(cv, radius, max_index):
+    """``conjugate.conjugate_chain(cv, radius, max_index)`` and its
+    ChainEntry rows from the per-entry walk, sorted by index, after checking
+    that the chain's statuses, grazing flag, indices, covectors and
+    outside flags are the walk's bit for bit."""
+    chain = conjugate_chain(cv, radius, max_index)
+    entries, pos, neg, grazing = per_entry_chain(cv, radius, max_index)
+    assert (chain.status_positive, chain.status_negative, chain.grazing) == (pos, neg, grazing)
+    np.testing.assert_array_equal(chain.index, [e.index for e in entries])
+    np.testing.assert_array_equal(chain.x, [e.covector.x for e in entries])
+    np.testing.assert_array_equal(chain.xi, [e.covector.xi for e in entries])
+    np.testing.assert_array_equal(chain.outside_domain, [e.outside_domain for e in entries])
+    return chain, entries
 
-    return [ChainEntry(int(chain.index[i]), Covector(chain.x[i], chain.xi[i]),
-                       line(chain.line_in, i), line(chain.line_out, i),
-                       float(chain.a[i]), bool(chain.outside_domain[i]))
-            for i in range(len(chain.index))]
 
-
-def chain_entry(chain, index):
-    """The ChainEntry of a conjugate chain with the given index, or None."""
-    return next((e for e in chain_entries(chain) if e.index == index), None)
+def chain_entry(entries, index):
+    """The ChainEntry with the given index, or None."""
+    return next((e for e in entries if e.index == index), None)
 
 
 def conjugate_covector(cv: Covector, event, conormal_tol: float = 1e-6):
@@ -126,7 +130,8 @@ def parabola_criterion(a: float, d: float, x0: float) -> bool:
 
 # Reference conjugate chain for conjugate.conjugate_chain: one ChainEntry
 # per bounce on numpy 2-vectors, as the chain was built before it became
-# arrays.  Its covectors and a values are the chain's bit for bit.
+# arrays, with the a value and the chords of each entry.  Its covectors are
+# the chain's bit for bit.
 
 
 def _disk_exit(x, u, radius):

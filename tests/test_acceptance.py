@@ -301,8 +301,8 @@ def test_ac7_chain_radial_dichotomy():
             agree += chain.is_complete == is_radial(cv)
     # reciprocal recurrence from a0 = 1/2: forward 1/a = 2, 4, 6, ...,
     # backward escape at index -1
-    chain = conjugate_chain(Covector([-0.5, 0.0], [0.0, 1.0]), 1.0, max_index=8)
-    recurrence = [round(1.0 / chain_entry(chain, k).a) for k in range(0, 9)]
+    chain, entries = chain_entries(Covector([-0.5, 0.0], [0.0, 1.0]), 1.0, 8)
+    recurrence = [round(1.0 / chain_entry(entries, k).a) for k in range(0, 9)]
     elapsed = time.time() - t0
     report("AC-7", f"completeness == radial on {agree}/{count} grid covectors; "
                    f"1/a sequence {recurrence}; escape at "
@@ -427,10 +427,10 @@ def test_ac9_polygon_artifact_radii(radial_run):
     err = error_map(f_true, rec)
     center = np.array([SQUARE_RADIUS, 0.0])
     cv = Covector(center, center / np.linalg.norm(center))
-    chain = conjugate_chain(cv, 1.0, max_index=16)
+    chain, entries = chain_entries(cv, 1.0, 16)
     assert chain.is_complete
     seen = {}
-    for e in chain_entries(chain):
+    for e in entries:
         key = (round(e.covector.x[0], 9), round(e.covector.x[1], 9))
         host = e.line_in if e.index == 0 else e.line_out
         seen.setdefault(key, (e.covector.x.copy(), host.v))

@@ -29,7 +29,7 @@ from brokenray.conjugate import (
     TangentLocus,
 )
 from brokenray.errors import ConfigError
-from brokenray.geometry import GRAZING_COS, Circle, Lines, unit_vectors
+from brokenray.geometry import GRAZING_COS, Circle
 from brokenray.io import (
     image_sha256,
     load_image,
@@ -161,9 +161,8 @@ def test_prediction_csvs_keep_the_per_row_format(tmp_path):
     assert (tmp_path / "locus.csv").read_text() == expected
     assert "zero:through_center:degenerate" in expected and "-0," in expected
 
-    lines = Lines(rows[:, 0], rows[:, 1], *unit_vectors(rows[:, 1]))
-    chain = ConjugateChain(index=np.arange(-3, 5), x=rows[:, :2], xi=rows[:, 2:], a=rows[:, 3],
-                           outside_domain=np.arange(8) % 3 == 2, line_in=lines, line_out=lines,
+    chain = ConjugateChain(index=np.arange(-3, 5), x=rows[:, :2], xi=rows[:, 2:],
+                           outside_domain=np.arange(8) % 3 == 2,
                            status_positive=ChainStatus("truncated", 4),
                            status_negative=ChainStatus("incomplete", -3))
     expected = "index,x,y,xi_x,xi_y,status\n" + "".join(

@@ -36,7 +36,6 @@ from conftest import (
     depth_first_caustic,
     locus_residual,
     parabola_criterion,
-    per_entry_chain,
     per_sample_tangent_locus,
     random_admissible_events,
     reflect_from,
@@ -456,25 +455,25 @@ class TestRadial:
 class TestChains:
     def test_radial_chain_complete(self):
         cv = Covector([0.3, 0.0], [1.0, 0.0])
-        chain = conjugate_chain(cv, radius=1.0, max_index=16)
+        chain, entries = chain_entries(cv, 1.0, 16)
         assert chain.is_complete
-        for e in chain_entries(chain):
+        for e in entries:
             assert abs(e.a) < 1e-9
             assert not e.outside_domain
-        assert {e.index for e in chain_entries(chain)} == set(range(-16, 17))
+        assert {e.index for e in entries} == set(range(-16, 17))
 
     def test_a_recurrence_from_half(self):
         # a0 = 0.5 on the horizontal diameter: forward 1/a = 2, 4, 6, ...;
         # backward 1/a = 0 means escape at index -1
         cv = Covector([-0.5, 0.0], [0.0, 1.0])
-        chain = conjugate_chain(cv, radius=1.0, max_index=8)
-        assert chain_entry(chain, 0).a == pytest.approx(0.5)
+        chain, entries = chain_entries(cv, 1.0, 8)
+        assert chain_entry(entries, 0).a == pytest.approx(0.5)
         for k in range(1, 9):
-            assert 1.0 / chain_entry(chain, k).a == pytest.approx(2.0 * (k + 1), rel=1e-9)
+            assert 1.0 / chain_entry(entries, k).a == pytest.approx(2.0 * (k + 1), rel=1e-9)
         assert chain.status_positive.kind == "truncated"
         assert chain.status_negative.kind == "incomplete"
         assert chain.status_negative.index == -1
-        assert chain_entry(chain, -1) is None
+        assert chain_entry(entries, -1) is None
 
     def test_truncation_carries_the_walks_sign(self, tmp_path):
         # a nearly radial covector escapes neither way within 8 bounces:
@@ -484,8 +483,8 @@ class TestChains:
             chain = conjugate_chain(cv, radius=1.0, max_index=8, with_entries=with_entries)
             assert chain.status_positive == ChainStatus("truncated", 8)
             assert chain.status_negative == ChainStatus("truncated", -8)
-        chain = conjugate_chain(cv, radius=1.0, max_index=8)
-        assert [e.index for e in chain_entries(chain)] == list(range(-8, 9))
+        chain, entries = chain_entries(cv, 1.0, 8)
+        assert [e.index for e in entries] == list(range(-8, 9))
         save_chain_csv(tmp_path / "chain.csv", chain)
         tail = (tmp_path / "chain.csv").read_text().splitlines()[-2:]
         assert tail == ["# status_positive,truncated,8", "# status_negative,truncated,-8"]
@@ -511,8 +510,8 @@ class TestChains:
     def test_chain_consistency_with_covector_transport(self, circle):
         # consecutive entries are conjugate covectors along the shared ray
         cv = Covector([0.31, -0.12], [0.6, 1.1])
-        chain = conjugate_chain(cv, radius=1.0, max_index=6)
-        by_index = {e.index: e for e in chain_entries(chain)}
+        _, entries = chain_entries(cv, 1.0, 6)
+        by_index = {e.index: e for e in entries}
         for i in sorted(by_index):
             if i + 1 not in by_index:
                 continue
@@ -532,16 +531,16 @@ class TestChains:
 
     def test_entries_stay_on_chords(self, circle):
         cv = Covector([0.2, 0.35], [1.0, 0.2])
-        chain = conjugate_chain(cv, radius=1.0, max_index=10)
-        for e in chain_entries(chain):
+        _, entries = chain_entries(cv, 1.0, 10)
+        for e in entries:
             # the covector is conormal to the chord it sits on: the anchor
             # chord for index 0, the outgoing chord otherwise
             host = e.line_in if e.index == 0 else e.line_out
             assert abs(float(np.dot(e.covector.unit(), host.v))) < 1e-9
 
     def test_columns_match_per_entry_walk(self):
-        # the arrays against one ChainEntry per bounce: indices, covectors,
-        # a and the flags bit for bit, the chords to rounding
+        # the arrays against one ChainEntry per bounce: statuses, grazing,
+        # indices, covectors and the flags bit for bit (in chain_entries)
         cases = [
             (Covector([0.3, 0.0], [1.0, 0.0]), 16),  # radial: complete
             (Covector([-0.5, 0.0], [0.0, 1.0]), 8),  # escapes at -1
@@ -555,24 +554,9 @@ class TestChains:
                                    1.7 * np.array([math.cos(ang), math.sin(ang)])), 64))
         kinds = set()
         for cv, max_index in cases:
-            chain = conjugate_chain(cv, radius=1.0, max_index=max_index)
-            entries, pos, neg, grazing = per_entry_chain(cv, 1.0, max_index)
-            assert (chain.status_positive, chain.status_negative, chain.grazing) == (
-                pos, neg, grazing)
-            kinds |= {pos.kind, neg.kind, "grazing" if grazing else "crossing"}
-            np.testing.assert_array_equal(chain.index, [e.index for e in entries])
-            np.testing.assert_array_equal(chain.x, [e.covector.x for e in entries])
-            np.testing.assert_array_equal(chain.xi, [e.covector.xi for e in entries])
-            np.testing.assert_array_equal(chain.a, [e.a for e in entries])
-            np.testing.assert_array_equal(chain.outside_domain,
-                                          [e.outside_domain for e in entries])
-            for got, want in zip(chain_entries(chain), entries):
-                for line, ref in ((got.line_in, want.line_in), (got.line_out, want.line_out)):
-                    if ref is None:
-                        assert line is None
-                        continue
-                    assert line.s == pytest.approx(ref.s, abs=1e-12)
-                    np.testing.assert_allclose(line.v, ref.v, rtol=0.0, atol=1e-12)
+            chain, _ = chain_entries(cv, 1.0, max_index)
+            kinds |= {chain.status_positive.kind, chain.status_negative.kind,
+                      "grazing" if chain.grazing else "crossing"}
         assert kinds == {"complete", "incomplete", "truncated", "grazing", "crossing"}
 
     def test_grazing_chain_flagged(self):
