@@ -38,7 +38,7 @@ from .geometry import (
     Boundary,
     Circle,
     Ellipse,
-    LineCoords,
+    Lines,
     Parabola,
     SampledCurve,
     reflect,

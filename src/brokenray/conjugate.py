@@ -30,12 +30,11 @@ from .geometry import (
     TWO_PI,
     Boundary,
     Circle,
-    LineCoords,
+    Lines,
     Reflections,
     cross2,
     dot2,
     reflect,
-    unit_vectors,
 )
 
 # d(alpha2)/d(alpha1) magnitudes below this put the conjugate point at
@@ -68,18 +67,20 @@ class Covector:
 
 @dataclass(frozen=True)
 class Translation:
-    """The line-coordinate map (s, alpha) -> (s + offset, alpha).
+    """The line-coordinate map (s, alpha) -> (s + offset, alpha) on a
+    batch of lines.
 
     This is the diffeomorphism of the two-parallel-ray transform; its
     Jacobian is the identity.
     """
 
     offset: float
-    line_in: LineCoords
+    line_in: Lines
 
     @property
-    def line_out(self) -> LineCoords:
-        return LineCoords(self.line_in.s + self.offset, self.line_in.alpha)
+    def line_out(self) -> Lines:
+        s, alpha, v, w = self.line_in
+        return Lines(s + self.offset, alpha, v, w)
 
     @property
     def jacobian(self) -> np.ndarray:
@@ -159,9 +160,9 @@ def _caustic_samples(p, boundary, alphas):
     """Conjugate points q, path lengths t and inside-the-mirror flags of the
     rays from p at the given angles; q and t are NaN, and the flag False,
     where a direction has no admissible reflection or no conjugate point."""
-    v, w = unit_vectors(alphas)
-    pv = dot2(v, p)
-    rays = reflect(boundary, dot2(w, p), alphas, pv, jacobian=True)
+    pencil = Lines.through(p, alphas)
+    pv = pencil.coord_of(p)
+    rays = reflect(boundary, pencil.s, alphas, pv, jacobian=True)
     q = conjugate_point(p, rays)
     t = rays.t_hit - pv + dot2(q - rays.hit_point, rays.line_out.v)
     present = ~np.isnan(q[:, 0])
@@ -256,10 +257,9 @@ class TangentLocus:
 
 def _disk_pencil(p, radius, alpha):
     """(t1, sin b, cos b) for the rays from p with angles alpha in the disk."""
-    v, w = unit_vectors(alpha)
-    s = dot2(p, w)
-    pv = dot2(p, v)
-    t1 = -pv + np.sqrt(np.maximum(radius * radius - s * s, 0.0))
+    pencil = Lines.through(p, alpha)
+    s = pencil.s
+    t1 = -pencil.coord_of(p) + np.sqrt(np.maximum(radius * radius - s * s, 0.0))
     return t1, s / radius, np.sqrt(np.maximum(1.0 - (s / radius) ** 2, 0.0))
 
 
@@ -290,33 +290,28 @@ def tangent_conjugate_locus(p, radius: float = 1.0, n_samples: int = 2048) -> Ta
     t_arr = t1[on_locus] + t1[on_locus] / D[on_locus]
 
     # exp_p(t v(alpha)) travels t1 along v then t - t1 along the reflection
-    v, w = unit_vectors(alpha_arr)
-    pv = dot2(v, p)
-    rays = reflect(Circle(radius), dot2(w, p), alpha_arr, pv)
+    pencil = Lines.through(p, alpha_arr)
+    pv = pencil.coord_of(p)
+    rays = reflect(Circle(radius), pencil.s, alpha_arr, pv)
     if not rays.ok.all():
         raise GrazingIncidence("a direction on the locus meets the mirror at grazing incidence")
     pts = rays.hit_point + (t_arr - (rays.t_hit - pv))[:, None] * rays.line_out.v
 
+    # the two directions through the centre (beta = 0) and the two
+    # perpendicular to the source, in one batch
     phi = math.atan2(p[1], p[0])
-    zeros = []
-    for a, kind in (
-        (phi, "through_center"),
-        (phi + math.pi, "through_center"),
-        (phi + math.pi / 2.0, "source_perpendicular"),
-        (phi - math.pi / 2.0, "source_perpendicular"),
-    ):
-        a = a % TWO_PI
-        t1, sb, cb = _disk_pencil(p, radius, a)
-        D = 2.0 * t1 / (radius * cb) - 1.0
-        if D <= DEGENERATE_TOL:
-            continue  # not on the locus
-        if kind == "through_center":
-            # d(sin b)/d alpha = (t1 - R cos b)/R, nonzero unless t1 = R
-            deriv = (t1 - radius * cb) / radius
-        else:
-            deriv = sb
-        zeros.append(LocusZero(alpha=a, kind=kind, simple=bool(abs(deriv) > 1e-9),
-                               t=float(t1 + t1 / D)))
+    kinds = ("through_center",) * 2 + ("source_perpendicular",) * 2
+    zero_alpha = [a % TWO_PI for a in (phi, phi + math.pi, phi + math.pi / 2.0,
+                                       phi - math.pi / 2.0)]
+    t1, sb, cb = _disk_pencil(p, radius, zero_alpha)
+    D = 2.0 * t1 / (radius * cb) - 1.0
+    # dF/d alpha: d(sin b)/d alpha = (t1 - R cos b)/R through the centre,
+    # nonzero unless t1 = R, and sin b perpendicular to the source
+    deriv = np.concatenate([(t1[:2] - radius * cb[:2]) / radius, sb[2:]])
+    zeros = [LocusZero(alpha=a, kind=kind, simple=bool(abs(d) > 1e-9), t=float(t + t / dd))
+             for a, kind, t, dd, d in zip(zero_alpha, kinds, t1.tolist(), D.tolist(),
+                                          deriv.tolist())
+             if dd > DEGENERATE_TOL]  # the others are not on the locus
     return TangentLocus(alpha=alpha_arr, t=t_arr, points=pts, zeros=zeros)
 
 

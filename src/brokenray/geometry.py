@@ -16,8 +16,9 @@ reflects according to
 
 with incidence angle ``beta`` in (-pi/2, pi/2).  The map
 ``chi : (s1, alpha1) -> (s2, alpha2)`` is area preserving: det(d chi) = 1.
-``reflect`` applies this law to arrays of rays; scalar inputs give a 0-d
-batch, one ray.
+Lines are ``Lines`` batches, one line being a 0-d batch.  ``reflect``
+applies this law to arrays of rays; scalar inputs give a 0-d batch, one
+ray.
 """
 
 from __future__ import annotations
@@ -42,26 +43,11 @@ AHEAD_EPS = 1e-9
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def direction(alpha: float) -> np.ndarray:
-    """Unit direction v(alpha) = (cos a, sin a)."""
-    return np.array([math.cos(alpha), math.sin(alpha)])
-
-
-def normal(alpha: float) -> np.ndarray:
-    """Unit normal w(alpha) = (-sin a, cos a), v rotated by +90 degrees."""
-    return np.array([-math.sin(alpha), math.cos(alpha)])
-
-
 def normalize_angle(alpha: float) -> float:
     """Reduce an angle to [0, 2*pi).  Idempotent."""
     a = alpha % TWO_PI
     # a % TWO_PI can round up to TWO_PI itself for tiny negative inputs
     return 0.0 if a >= TWO_PI else a
-
-
-def rot90(u: np.ndarray) -> np.ndarray:
-    """Rotate a 2-vector by +90 degrees."""
-    return np.array([-u[1], u[0]])
 
 
 def cross2(u, v):
@@ -90,34 +76,6 @@ def unit_vectors(alpha):
     return _stack2(c, s), _stack2(-s, c)
 
 
-@dataclass(frozen=True)
-class LineCoords:
-    """Directed line {x : <x, w(alpha)> = s} with direction v(alpha)."""
-
-    s: float
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", normalize_angle(self.alpha))
-
-    @property
-    def v(self) -> np.ndarray:
-        return direction(self.alpha)
-
-    @property
-    def w(self) -> np.ndarray:
-        return normal(self.alpha)
-
-    def coord_of(self, point) -> float:
-        """Signed position of (the projection of) a point along the line."""
-        return float(np.dot(point, self.v))
-
-    @staticmethod
-    def through(point, alpha: float) -> "LineCoords":
-        """The directed line through a point with the given angle."""
-        return LineCoords(float(np.dot(point, normal(alpha))), alpha)
-
-
 class Lines(NamedTuple):
     """Directed lines {x : <x, w(alpha)> = s} as arrays of (s, alpha), with
     their unit vectors v(alpha) and w(alpha) stacked on a last axis."""
@@ -127,7 +85,17 @@ class Lines(NamedTuple):
     v: np.ndarray
     w: np.ndarray
 
+    @classmethod
+    def through(cls, points, alpha) -> "Lines":
+        """The lines through points (stacked on a last axis of 2) at angles
+        alpha; the two broadcast, and one point and one angle give a 0-d
+        batch, one line."""
+        alpha = np.asarray(alpha, dtype=float)
+        v, w = unit_vectors(alpha)
+        return cls(dot2(points, w), alpha, v, w)
+
     def coord_of(self, points) -> np.ndarray:
+        """Signed position of (the projection of) points along the lines."""
         return dot2(points, self.v)
 
 

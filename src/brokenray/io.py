@@ -28,7 +28,7 @@ def _image_header(img: GridImage) -> str:
 def save_image(path, img: GridImage) -> None:
     with open(path, "w") as fh:
         fh.write(_image_header(img))
-        np.savetxt(fh, img.data[::-1], fmt="%.17g")
+        _write_matrix(fh, img.data[::-1])
 
 
 def image_sha256(img: GridImage) -> str:
@@ -79,7 +79,7 @@ def load_power_iteration(path) -> tuple[list, GridImage]:
 def save_sinogram(path, g: Sinogram) -> None:
     with open(path, "w") as fh:
         fh.write(f"{g.n_s} {g.n_alpha} {g.s_max:.17g}\n")
-        np.savetxt(fh, g.data, fmt="%.17g")
+        _write_matrix(fh, g.data)
 
 
 def load_sinogram(path) -> Sinogram:
@@ -112,6 +112,22 @@ def _write_rows(fh, fmt: str, values: list) -> None:
     """Write ``values``, flat and row after row, with one %-format; ``fmt``
     formats one row, newline included, with one conversion per value."""
     fh.write((fmt * (len(values) // fmt.count("%"))) % tuple(values))
+
+
+# values per _write_rows call of a text matrix, which bounds the Python
+# floats it holds at once
+_MATRIX_BLOCK = 1 << 16
+
+
+def _write_matrix(fh, data: np.ndarray) -> None:
+    """The rows of a 2-d array as lines of space-separated ``%.17g``, the
+    bytes ``np.savetxt(fh, data, fmt="%.17g")`` writes, in blocks of whole
+    rows."""
+    n_rows, n_cols = data.shape
+    fmt = " ".join(["%.17g"] * n_cols) + "\n"
+    step = max(1, _MATRIX_BLOCK // n_cols)
+    for i in range(0, n_rows, step):
+        _write_rows(fh, fmt, data[i:i + step].ravel().tolist())
 
 
 def save_caustic_csv(path, curve: CausticCurve) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CenterOutsideWindow
-from .geometry import normal
+from .geometry import unit_vectors
 from .transforms import GridImage, _interior_support_mask
 
 # Modified Shepp-Logan ellipse table:
@@ -71,7 +71,7 @@ def render(spec: PhantomSpec, layout: GridImage) -> GridImage:
     elif spec.kind == "coherent":
         if spec.sigma <= 0 or spec.wavenumber < 0:
             raise ValueError("sigma must be positive and wavenumber nonnegative")
-        w = normal(spec.theta)
+        w = unit_vectors(spec.theta)[1]
         phase = spec.wavenumber * ((X - cx) * w[0] + (Y - cy) * w[1])
         data = (
             spec.amplitude

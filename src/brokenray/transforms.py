@@ -37,10 +37,10 @@ from .geometry import (
     TWO_PI,
     Boundary,
     Circle,
-    LineCoords,
-    direction,
-    normal,
+    Lines,
+    normalize_angle,
     reflect,
+    unit_vectors,
 )
 
 LAMBDA_SCALE = 1.0 / (4.0 * math.pi)
@@ -187,9 +187,7 @@ def _grid_coords(n: int, x_min: float, y_min: float, dx: float, layout: Sinogram
                  m: int, h: float):
     """Sample coordinates (pixel units, pixel centres at integers) and
     trapezoid weights for every offset of angle row m."""
-    alpha = m * layout.dalpha
-    v = direction(alpha)
-    w = normal(alpha)
+    v, w = unit_vectors(m * layout.dalpha)
     half_diag = 0.5 * math.hypot(n * dx, n * dx)
     n_t = max(int(math.ceil(2.0 * half_diag / h)) + 1, 2)
     t = -half_diag + np.arange(n_t) * h
@@ -357,10 +355,12 @@ class Family:
         return cls(arc=(tau_min, tau_max))
 
     @classmethod
-    def local(cls, line: LineCoords, ds: float, dalpha: float) -> "Family":
+    def local(cls, line: Lines, ds: float, dalpha: float) -> "Family":
+        """The rays within ds and dalpha of one line, a 0-d batch."""
+        s = float(line.s)
         return cls(
-            s_window=(line.s - ds, line.s + ds),
-            alpha_window=(line.alpha, dalpha),
+            s_window=(s - ds, s + ds),
+            alpha_window=(normalize_angle(float(line.alpha)), dalpha),
         )
 
     def admits(self, s, alpha, sin_beta, tau0, length: float) -> np.ndarray:

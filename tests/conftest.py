@@ -23,18 +23,13 @@ from brokenray.geometry import (
     Boundary,
     Circle,
     Ellipse,
-    LineCoords,
     Lines,
     Parabola,
     Reflections,
     SampledCurve,
-    cross2,
-    direction,
     dot2,
-    normal,
     reflect,
     reflection_jacobian,
-    rot90,
     unit_vectors,
 )
 
@@ -49,19 +44,53 @@ def star_curve_points(n=512, base=1.0, amp=0.12, lobes=3):
 # Line and chain helpers that only the tests need.
 
 
+def _dot(u, v):
+    """<u, v> of two 2-vectors, on floats."""
+    return float(u[0]) * float(v[0]) + float(u[1]) * float(v[1])
+
+
+def _rot90(u):
+    """A 2-vector rotated by +90 degrees."""
+    return np.array([-u[1], u[0]])
+
+
+class Line:
+    """One directed line {x : <x, w(alpha)> = s} on plain floats, its angle
+    reduced to [0, 2 pi): the reference line of the tests' oracles, written
+    without geometry.Lines.  ``v`` and ``w`` are numpy 2-vectors, so the
+    package's Jacobian and conjugate point read a reference event as they
+    read a batch."""
+
+    def __init__(self, s, alpha):
+        a = float(alpha) % TWO_PI
+        self.s, self.alpha = float(s), 0.0 if a >= TWO_PI else a
+        self._c, self._sn = math.cos(self.alpha), math.sin(self.alpha)
+        self.v = np.array([self._c, self._sn])
+        self.w = np.array([-self._sn, self._c])
+
+    @classmethod
+    def through(cls, point, alpha):
+        """The line through a point with the given angle."""
+        return cls(float(point[1]) * math.cos(alpha) - float(point[0]) * math.sin(alpha), alpha)
+
+    def coord_of(self, point):
+        """Signed position of (the projection of) a point along the line."""
+        return float(point[0]) * self._c + float(point[1]) * self._sn
+
+
 def point_at(line, t):
-    """The point s w + t v of a LineCoords; t is signed arc length along it."""
+    """The point s w + t v of a line; t is signed arc length along it."""
     return line.s * line.w + t * line.v
 
 
 def contains(line, point, tol=1e-9):
-    """Whether a point lies on a LineCoords, up to tol."""
-    return abs(float(np.dot(point, line.w)) - line.s) <= tol
+    """Whether a point lies on a line, up to tol."""
+    return abs(_dot(point, line.w) - float(line.s)) <= tol
 
 
 def reversed_line(line):
     """The same geometric line traversed backwards."""
-    return LineCoords(-line.s, line.alpha + math.pi)
+    return Line(-float(line.s), float(line.alpha) + math.pi)
 
 
 @dataclass(eq=False)
@@ -71,8 +100,8 @@ class ChainEntry:
 
     index: int
     covector: Covector
-    line_in: LineCoords
-    line_out: LineCoords | None
+    line_in: Line
+    line_out: Line | None
     a: float
     outside_domain: bool = False
 
@@ -143,8 +172,8 @@ def _disk_exit(x, u, radius):
 def _per_entry_walk(x0, xi0, u0, radius, max_index, sign, entries):
     x = np.array(x0, dtype=float)
     u = np.array(u0, dtype=float)
-    lam = float(np.dot(xi0, rot90(u)))
-    s_chord = cross2(u, x)
+    lam = float(np.dot(xi0, _rot90(u)))
+    s_chord = u[0] * x[1] - u[1] * x[0]
     cos_b = math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
     if cos_b < GRAZING_COS:
         return ChainStatus("truncated", 0), True
@@ -177,9 +206,9 @@ def _per_entry_walk(x0, xi0, u0, radius, max_index, sign, entries):
         q = vk + half_chord * (1.0 - a) * u2
         lam *= D
         entries.append(ChainEntry(
-            index=idx, covector=Covector(q, lam * rot90(u2)),
-            line_in=LineCoords.through(x, math.atan2(u_prev[1], u_prev[0])),
-            line_out=LineCoords.through(vk, math.atan2(u2[1], u2[0])),
+            index=idx, covector=Covector(q, lam * _rot90(u2)),
+            line_in=Line.through(x, math.atan2(u_prev[1], u_prev[0])),
+            line_out=Line.through(vk, math.atan2(u2[1], u2[0])),
             a=a, outside_domain=outside))
         x, u_prev = q, u2
         if outside:
@@ -194,15 +223,15 @@ def per_entry_chain(cv: Covector, radius: float, max_index: int):
     xin = cv.unit()
     u0 = np.array([xin[1], -xin[0]])
     t1 = _disk_exit(cv.x, u0, radius)
-    s_chord = cross2(u0, cv.x)
+    s_chord = u0[0] * cv.x[1] - u0[1] * cv.x[0]
     cos_b = math.sqrt(max(1.0 - (s_chord / radius) ** 2, 0.0))
     first_out = None
     if cos_b >= GRAZING_COS:
         vertex = cv.x + t1 * u0
         n = vertex / radius
         u2 = u0 - 2.0 * float(np.dot(u0, n)) * n
-        first_out = LineCoords.through(vertex, math.atan2(u2[1], u2[0]))
-    entries = [ChainEntry(0, cv, LineCoords.through(cv.x, math.atan2(u0[1], u0[0])), first_out,
+        first_out = Line.through(vertex, math.atan2(u2[1], u2[0]))
+    entries = [ChainEntry(0, cv, Line.through(cv.x, math.atan2(u0[1], u0[0])), first_out,
                           t1 / (radius * cos_b) - 1.0 if cos_b > 0 else math.inf)]
     pos, graze_p = _per_entry_walk(cv.x, cv.xi, u0, radius, max_index, +1, entries)
     neg, graze_n = _per_entry_walk(cv.x, cv.xi, -u0, radius, max_index, -1, entries)
@@ -272,8 +301,8 @@ class ReflectionEvent:
 
     tau0: float
     beta: float
-    line_in: LineCoords
-    line_out: LineCoords
+    line_in: Line
+    line_out: Line
     hit_point: np.ndarray
     tangent: np.ndarray
     kappa: float
@@ -290,52 +319,47 @@ class ReflectionEvent:
         return self.line_in.coord_of(self.hit_point)
 
 
-def _exit_parameter(boundary: Boundary, line: LineCoords, from_point) -> float:
-    """Curve parameter of the reflection point of one ray: the first
-    crossing strictly ahead of ``from_point`` at which the ray leaves the
-    region bounded by the curve (<v, n> > 0)."""
+def _exit_parameter(boundary: Boundary, line: Line, from_point):
+    """Curve parameter and frame of the reflection point of one ray: the
+    first crossing strictly ahead of ``from_point`` at which the ray leaves
+    the region bounded by the curve (<v, n> > 0)."""
     t0 = line.coord_of(from_point)
     hits = []
-    for u in boundary.line_intersections(line.s, line.alpha):
+    for u in boundary.line_intersections(line.s, line.alpha).tolist():
         if math.isnan(u):
             continue
         fr = boundary.frame_u(u)
         t = line.coord_of(fr.point)
         if t <= t0 + AHEAD_EPS:
             continue
-        cos_b = float(np.dot(line.v, fr.normal))
+        cos_b = line.coord_of(fr.normal)  # <v, n>
         if cos_b <= 0.0:
             continue  # inward crossing, the ray enters here
-        hits.append((t, float(u), cos_b))
+        hits.append((t, u, cos_b, fr))
     if not hits:
         raise NoReflection(
             f"ray (s={line.s:.6g}, alpha={line.alpha:.6g}) from "
             f"{np.asarray(from_point)} does not exit the boundary"
         )
-    _, u, cos_b = min(hits)
+    _, u, cos_b, fr = min(hits, key=lambda hit: hit[:3])
     if cos_b < GRAZING_COS:
         raise NoReflection(
             f"|cos beta| = {cos_b:.4g} below threshold {GRAZING_COS}"
         )
-    return u
+    return u, fr
 
 
-def reflect_one(boundary: Boundary, line_in: LineCoords, from_point) -> ReflectionEvent:
+def reflect_one(boundary: Boundary, line_in: Line, from_point) -> ReflectionEvent:
     """Reflect one directed line off the boundary: hit point, incidence
     angle, outgoing line and the Jacobian d(chi).  Raises NoReflection
     where ``geometry.reflect`` leaves a ray not ``ok``."""
-    u0 = _exit_parameter(boundary, line_in, from_point)
-    fr = boundary.frame_u(u0)
-    sin_b = float(np.dot(line_in.v, fr.tangent))
-    sin_b = max(-1.0, min(1.0, sin_b))
-    beta = math.asin(sin_b)
-    alpha2 = line_in.alpha + 2.0 * beta + math.pi
-    s2 = float(np.dot(fr.point, normal(alpha2)))
+    u0, fr = _exit_parameter(boundary, line_in, from_point)
+    beta = math.asin(max(-1.0, min(1.0, line_in.coord_of(fr.tangent))))
     event = ReflectionEvent(
         tau0=float(boundary.tau_of_u(u0)),
         beta=beta,
         line_in=line_in,
-        line_out=LineCoords(s2, alpha2),
+        line_out=Line.through(fr.point, line_in.alpha + 2.0 * beta + math.pi),
         hit_point=fr.point,
         tangent=fr.tangent,
         kappa=float(fr.kappa),
@@ -373,8 +397,8 @@ def reflect_every_crossing(boundary, s, alpha, t_from):
 def reflect_from(boundary, p, alpha):
     """``geometry.reflect`` of the one ray from p at angle alpha: a 0-d
     batch with its Jacobian."""
-    v, w = direction(alpha), normal(alpha)
-    return reflect(boundary, float(np.dot(w, p)), alpha, float(np.dot(v, p)), jacobian=True)
+    line = Line.through(p, alpha)
+    return reflect(boundary, line.s, alpha, line.coord_of(p), jacobian=True)
 
 
 def fd_jacobian(boundary, line, from_point, h=1e-5):
@@ -383,11 +407,11 @@ def fd_jacobian(boundary, line, from_point, h=1e-5):
     Independent oracle for the analytic reflection Jacobian; the source
     anchor rides along the perturbed line at a fixed line coordinate.
     """
-    t0 = float(np.dot(np.asarray(from_point, dtype=float), line.v))
+    t0 = line.coord_of(from_point)
     s, a = line.s, line.alpha
 
     def chi(ss, aa):
-        moved = LineCoords(ss, aa)
+        moved = Line(ss, aa)
         event = reflect_one(boundary, moved, point_at(moved, t0))
         return np.array([event.line_out.s, event.alpha2_raw])
 
@@ -423,7 +447,7 @@ def random_admissible_events(boundary, rng, n, interior_radius=None):
             u = math.sqrt(rng.uniform(0.0, 1.0)) * rad
             phi = rng.uniform(0.0, 2.0 * math.pi)
             p = np.array([u * math.cos(phi), u * math.sin(phi)])
-        line = LineCoords.through(p, alpha)
+        line = Line.through(p, alpha)
         try:
             reflect_one(boundary, line, p)
         except NoReflection:
@@ -442,9 +466,8 @@ _PAD = 2
 
 
 def _loop_grid_coords(layout, img, m, h):
-    alpha = m * layout.dalpha
-    v = direction(alpha)
-    w = normal(alpha)
+    c, sn = math.cos(m * layout.dalpha), math.sin(m * layout.dalpha)
+    v, w = (c, sn), (-sn, c)
     half_diag = 0.5 * math.hypot(img.x_max - img.x_min, img.y_max - img.y_min)
     n_t = max(int(math.ceil(2.0 * half_diag / h)) + 1, 2)
     t = -half_diag + np.arange(n_t) * h
@@ -512,7 +535,7 @@ def loop_reflection_table(boundary, family, layout):
     s2, a2, sin_b, tau0 = (np.zeros(shape) for _ in range(4))
     for m, alpha in enumerate(alphas):
         for k in range(layout.n_s):
-            line = LineCoords(float(s[k]), float(alpha))
+            line = Line(s[k], alpha)
             try:
                 event = reflect_one(boundary, line, point_at(line, -4.0 * layout.s_max))
             except NoReflection:
@@ -527,7 +550,7 @@ def loop_reflection_table(boundary, family, layout):
 
 
 def _caustic_sample(p, boundary, alpha):
-    line = LineCoords.through(p, alpha)
+    line = Line.through(p, alpha)
     try:
         event = reflect_one(boundary, line, p)
     except NoReflection:
@@ -536,7 +559,7 @@ def _caustic_sample(p, boundary, alpha):
     if np.isnan(q).any():
         return None
     t1 = event.t_hit - line.coord_of(p)
-    return q, t1 + float(np.dot(q - event.hit_point, event.line_out.v))
+    return q, t1 + event.line_out.coord_of(q - event.hit_point)
 
 
 def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10,
@@ -588,8 +611,9 @@ def depth_first_caustic(p, boundary, n_samples, refine_dist, max_depth=10,
 def _disk_chord(p, radius, a):
     """(t1, cos beta) of the ray from p at angle a in the disk: the distance
     to the mirror and the incidence angle there."""
-    s = float(np.dot(p, normal(a)))
-    t1 = -float(np.dot(p, direction(a))) + math.sqrt(max(radius * radius - s * s, 0.0))
+    line = Line.through(p, a)
+    s = line.s
+    t1 = -line.coord_of(p) + math.sqrt(max(radius * radius - s * s, 0.0))
     return t1, math.sqrt(max(1.0 - (s / radius) ** 2, 0.0))
 
 
@@ -610,7 +634,7 @@ def per_sample_tangent_locus(p, radius, n_samples):
         if D <= 0.0:
             continue
         t = t1 + t1 / D
-        line = LineCoords.through(p, a)
+        line = Line.through(p, a)
         event = reflect_one(Circle(radius), line, p)
         t_hit = event.t_hit - line.coord_of(p)
         rows.append((a, t, event.hit_point + (t - t_hit) * event.line_out.v))

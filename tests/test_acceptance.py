@@ -22,12 +22,12 @@ from brokenray.conjugate import (
 from brokenray.geometry import (
     Circle,
     Ellipse,
-    LineCoords,
+    Lines,
     Parabola,
     SampledCurve,
-    normal,
     reflect,
     reflection_jacobian,
+    unit_vectors,
 )
 from brokenray.phantoms import PhantomSpec, clip_to_boundary, render
 from brokenray.reconstruct import (
@@ -251,8 +251,8 @@ def test_ac6_local_data_cancellation():
     # source at the chord midpoint: d(alpha2)/d(alpha1) = 1, so the
     # conjugate partner is an undistorted mirror of the coherent state
     theta = math.pi / 3.0
-    x1 = 0.45 * normal(theta)
-    line = LineCoords.through(x1, theta)
+    x1 = 0.45 * unit_vectors(theta)[1]
+    line = Lines.through(x1, theta)
     event = reflect(circle, line.s, line.alpha, line.coord_of(x1), jacobian=True)
     x2 = conjugate_point(x1, event)
     assert np.linalg.norm(x2) < 0.75

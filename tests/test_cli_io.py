@@ -175,6 +175,26 @@ def test_prediction_csvs_keep_the_per_row_format(tmp_path):
     assert "outside_domain" in expected and "-0," in expected
 
 
+@pytest.mark.parametrize("block", [1 << 16, 10, 3], ids=["one-block", "rows-a-block",
+                                                           "block-below-a-row"])
+def test_matrix_files_keep_the_savetxt_bytes(tmp_path, monkeypatch, block):
+    # images and sinograms go through the row writer in blocks of whole
+    # rows; each file must hold the bytes np.savetxt wrote, at any block size
+    from brokenray import io as brio
+
+    monkeypatch.setattr(brio, "_MATRIX_BLOCK", block)
+    img = GridImage(np.resize(np.array(AWKWARD), (5, 5)), -2.0, 1.0 / 3.0, -1.0, 4.0 / 3.0)
+    g = Sinogram(np.resize(np.array(AWKWARD)[::-1], (5, 7)), 1.5)
+    for name, save, obj, matrix, header in (
+        ("img.txt", save_image, img, img.data[::-1], brio._image_header(img)),
+        ("sino.txt", save_sinogram, g, g.data, "7 5 1.5\n"),
+    ):
+        save(tmp_path / name, obj)
+        expected = io.StringIO()
+        np.savetxt(expected, matrix, fmt="%.17g")
+        assert (tmp_path / name).read_text() == header + expected.getvalue()
+
+
 class TestConfig:
     def test_roundtrip_lossless(self):
         cfg = ExperimentConfig.from_string(DEFAULT_CONFIG)
@@ -314,6 +334,12 @@ class TestCommands:
         pytest.param("forward", "method = fbp", "method = landweber\niterations = 2.5",
                      id="fractional-iterations"),
         pytest.param("reconstruct", "sigma = 0.05", "sigma = -1", id="negative-sigma"),
+        # the operator checks support 2 px from the mirror, so a phantom
+        # clipped closer would fail every forward
+        pytest.param("forward", "sigma = 0.05", "sigma = 0.05\nclip_margin_px = 1.0",
+                     id="clip-margin-below-2"),
+        pytest.param("reconstruct", "sigma = 0.05", "sigma = 0.05\nclip_margin_px = -1",
+                     id="negative-clip-margin"),
         pytest.param("forward", "kind = full", "kind = parallel\noffset = abc",
                      id="non-numeric-offset"),
         pytest.param("reconstruct", "kind = full", "kind = half_plane\ndirection = abc",
@@ -435,9 +461,26 @@ class TestCommands:
         rc = main(["selftest", "--n", "48"])
         assert rc == 0
 
-    def test_selftest_negative_control(self):
-        rc = main(["selftest", "--n", "48", "--corrupt-adjoint"])
+    def test_selftest_negative_control(self, monkeypatch, capsys):
+        from brokenray import cli
+
+        adjoint = cli.radon_adjoint
+
+        def scaled(*args, **kwargs):
+            back = adjoint(*args, **kwargs)
+            return back.copy_with(back.data * 1.01)
+
+        monkeypatch.setattr(cli, "radon_adjoint", scaled)
+        rc = main(["selftest", "--n", "48"])
         assert rc == 2
+        assert "[FAIL] radon adjoint dot product" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["0", "1", "-5"])
+    def test_selftest_size_below_2_is_usage_error(self, n, capsys):
+        assert main(["selftest", "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert "integer >= 2" in err
+        assert "Traceback" not in err
 
     def test_console_entry_point(self, tmp_path):
         rc = subprocess.run(
@@ -447,6 +490,12 @@ class TestCommands:
         )
         assert rc.returncode == 0
         assert "PASS" in rc.stdout
+        for n in ("0", "1", "-5"):
+            rc = subprocess.run([sys.executable, "-m", "brokenray.cli", "selftest", "--n", n],
+                                capture_output=True, text=True)
+            assert rc.returncode == 1
+            assert "integer >= 2" in rc.stderr
+            assert "Traceback" not in rc.stderr
 
     def test_import_leaves_unused_scipy_modules_unloaded(self):
         code = (

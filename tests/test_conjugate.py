@@ -21,11 +21,10 @@ from brokenray.io import save_chain_csv
 from brokenray.geometry import (
     Circle,
     Ellipse,
-    LineCoords,
+    Lines,
     Parabola,
-    direction,
-    normal,
     reflect,
+    unit_vectors,
 )
 
 from conftest import (
@@ -112,7 +111,7 @@ class TestConjugatePoint:
         for boundary in (circle, generic_curve):
             for line, p, event in random_admissible_events(boundary, rng, 20):
                 da2, ds2 = source_derivatives(p, event)
-                v2 = direction(event.alpha2_raw)
+                v2 = unit_vectors(event.alpha2_raw)[0]
                 dq0_w2 = ds2 + float(np.dot(event.hit_point, v2)) * da2
                 t1 = event.t_hit - line.coord_of(p)
                 assert dq0_w2 == pytest.approx(-t1, rel=1e-9)
@@ -192,10 +191,10 @@ class TestConjugatePoint:
 
     def test_translation_conjugate(self):
         p = np.array([0.3, -0.2])
-        line = LineCoords.through(p, 1.1)
+        line = Lines.through(p, 1.1)
         tr = Translation(offset=0.6, line_in=line)
         q = conjugate_point(p, tr)
-        np.testing.assert_allclose(q, p + 0.6 * normal(1.1), atol=1e-12)
+        np.testing.assert_allclose(q, p + 0.6 * unit_vectors(1.1)[1], atol=1e-12)
         assert contains(tr.line_out, q, tol=1e-9)
 
 
@@ -231,7 +230,7 @@ class TestConjugateCovector:
 
     def test_translation_preserves_covector(self):
         p = np.array([0.1, 0.4])
-        line = LineCoords.through(p, 0.3)
+        line = Lines.through(p, 0.3)
         cv = Covector(p, -2.0 * line.w)
         out = conjugate_covector(cv, Translation(offset=0.6, line_in=line))
         np.testing.assert_allclose(out.x, p + 0.6 * line.w, atol=1e-12)

@@ -9,7 +9,7 @@ from brokenray.geometry import (
     GRAZING_COS,
     Circle,
     Ellipse,
-    LineCoords,
+    Lines,
     Parabola,
     SampledCurve,
     _points_in_polygon,
@@ -22,6 +22,7 @@ from brokenray.geometry import (
 from brokenray.transforms import GridImage
 
 from conftest import (
+    Line,
     NoReflection,
     chunked_points_in_polygon,
     contains,
@@ -50,7 +51,8 @@ def test_angle_normalization_idempotent(a):
 )
 def test_line_through_point_contains_it(x, y, alpha):
     p = np.array([x, y])
-    line = LineCoords.through(p, alpha)
+    line = Lines.through(p, alpha)
+    assert line.s.shape == ()
     assert contains(line, p, tol=1e-8)
     assert contains(reversed_line(line), p, tol=1e-8)
 
@@ -173,7 +175,7 @@ class TestIntersect:
         bnd = Parabola(focal=1.0, x_max=1.0)
         # steep ray that would only meet the ideal parabola beyond the extent
         p = np.array([0.0, -0.5])
-        assert np.isnan(bnd.line_intersections(LineCoords.through(p, 0.1).s, 0.1)).all()
+        assert np.isnan(bnd.line_intersections(Lines.through(p, 0.1).s, 0.1)).all()
         assert_no_reflection(reflect_from(bnd, p, 0.1))
 
     def test_line_point_consistency(self, circle, ellipse, generic_curve):
@@ -254,8 +256,8 @@ class TestReflect:
     def test_one_ray_matches_reference(self, name, request):
         # scalar inputs give a 0-d batch that reflects as the per-ray
         # reference does: an admitted ray, a miss and a graze.  Equal up to
-        # rounding: the reference takes its dot products with np.dot and
-        # its unit vectors from math.sin and math.cos.
+        # rounding: the reference takes its dot products on floats and its
+        # unit vectors from math.sin and math.cos.
         boundary = request.getfixturevalue(name)
         (line, p, _), = random_admissible_events(boundary, np.random.default_rng(71), 1)
         rays = reflect(boundary, line.s, line.alpha, line.coord_of(p), jacobian=True)
@@ -270,8 +272,8 @@ class TestReflect:
         # a line far outside the mirror, and one that crosses it at the
         # reference hit 0.01 rad off the tangent
         tangent_alpha = math.atan2(event.tangent[1], event.tangent[0])
-        miss = LineCoords(10.0, line.alpha)
-        graze = LineCoords.through(event.hit_point, tangent_alpha + 0.01)
+        miss = Line(10.0, line.alpha)
+        graze = Line.through(event.hit_point, tangent_alpha + 0.01)
         assert np.isnan(boundary.line_intersections(miss.s, miss.alpha)).all()
         assert not np.isnan(boundary.line_intersections(graze.s, graze.alpha)).all()
         for other in (miss, graze):

@@ -8,11 +8,11 @@ from brokenray.errors import SupportViolation
 from brokenray.geometry import (
     Circle,
     Ellipse,
-    LineCoords,
+    Lines,
     Parabola,
     SampledCurve,
     _ClosedCurve,
-    normal,
+    unit_vectors,
 )
 from brokenray.transforms import (
     BrokenRayOperator,
@@ -29,6 +29,7 @@ from brokenray.transforms import (
     sino_inner,
 )
 from conftest import (
+    Line,
     loop_radon,
     loop_radon_adjoint,
     loop_reflection_table,
@@ -389,11 +390,11 @@ class TestBrokenRay:
         R = 1.0
         for m, k in hot:
             alpha = lay.alphas[m]
-            d_direct = abs(float(center @ normal(alpha)) - s[k])
+            d_direct = abs(float(center @ unit_vectors(alpha)[1]) - s[k])
             # reflected leg on the disk: same offset, rotated angle
             beta = math.asin(min(1.0, max(-1.0, s[k] / R)))
             alpha2 = alpha + 2.0 * beta + math.pi
-            d_refl = abs(float(center @ normal(alpha2)) - s[k])
+            d_refl = abs(float(center @ unit_vectors(alpha2)[1]) - s[k])
             assert min(d_direct, d_refl) < 3.0 * sigma
 
 
@@ -434,7 +435,7 @@ class TestParallel:
         alpha0 = lay.alphas[3]
         d = 43 * lay.ds  # cell-aligned offset keeps the resampling exact
         p = np.array([0.1, -0.2])
-        q = p + d * normal(alpha0)
+        q = p + d * unit_vectors(alpha0)[1]
         sigma = 0.04
         f_p = gaussian_image(n=256, half_width=1.5, center=tuple(p), sigma=sigma)
         f_q = gaussian_image(n=256, half_width=1.5, center=tuple(q), sigma=sigma)
@@ -442,7 +443,7 @@ class TestParallel:
         g_p = op.forward(f_p)
         g_q = op.forward(f_q)
         s = lay.s_centers
-        c = float(p @ normal(alpha0))
+        c = float(p @ unit_vectors(alpha0)[1])
         near = np.abs(s - c) < sigma
         scale = np.max(np.abs(g_p.data[3]))
         # each transform is large on the shared bump...
@@ -471,7 +472,7 @@ def _chi(op, s, alpha):
     """The line map of the operator, one line at a time."""
     if isinstance(op, ParallelRayOperator):
         return s + op.offset, alpha
-    line = LineCoords(s, alpha)
+    line = Line(s, alpha)
     event = reflect_one(op.boundary, line, point_at(line, -4.0 * op.sino_layout.s_max))
     return event.line_out.s, event.line_out.alpha
 
@@ -480,7 +481,7 @@ ORACLE_CASES = {
     "disk_full": lambda img: BrokenRayOperator(
         Circle(1.0), Family.full(), img, SinogramLayout(32, 40, 1.0)),
     "disk_local": lambda img: BrokenRayOperator(
-        Circle(1.0), Family.local(LineCoords(0.3, 1.0), 0.3, 0.6), img,
+        Circle(1.0), Family.local(Lines(0.3, 1.0, *unit_vectors(1.0)), 0.3, 0.6), img,
         SinogramLayout(32, 40, 1.0)),
     "ellipse_full": lambda img: BrokenRayOperator(
         Ellipse(1.4, 0.9), Family.full(), img, SinogramLayout(16, 20, 1.5)),
@@ -558,7 +559,7 @@ class TestBatchedReflectionTable:
         boundary, lay = TABLE_MIRRORS[mirror]
         fam = {"full": Family.full(),
                "half_plane": Family.half_plane_incoming(0.7),
-               "local": Family.local(LineCoords(0.2, 1.0), 0.5, 0.8)}[family]
+               "local": Family.local(Lines(0.2, 1.0, *unit_vectors(1.0)), 0.5, 0.8)}[family]
         reference = loop_reflection_table(boundary, fam, lay)
 
         def forbidden(*args):
