@@ -272,8 +272,11 @@ class ExperimentConfig:
             return PhantomSpec.coherent(center, theta, sigma, wavenumber, amp), margin
         return PhantomSpec.shepp_logan(center, theta, amp), margin
 
-    def reconstruction(self) -> tuple[str, LandweberConfig]:
-        """The method and the Landweber settings (FBP uses none of them)."""
+    def reconstruction(self) -> tuple[str, LandweberConfig, float | None]:
+        """The method, the Landweber settings (FBP uses none of them) and
+        the radius of the disk that supports the iterates, or None.  The
+        settings hold no support mask: ``cmd_reconstruct`` builds it, the
+        one command that uses it."""
         method = self._read("reconstruct", "method", str, "fbp", choices=("fbp", "landweber"))
         iterations = self._read("reconstruct", "iterations", int, 100,
                                 least=1 if method == "landweber" else None)
@@ -281,16 +284,12 @@ class ExperimentConfig:
                           choices=("auto", ""))
         radius = self._read("reconstruct", "support_mask", _disk_radius, "none",
                             positive=True, choices=("none",))
-        mask = None
-        if radius != "none":
-            img = self.image_layout()
-            mask = (np.hypot(img.x_centers, img.y_centers[:, None]) <= radius).astype(float)
-        return method, LandweberConfig(
+        settings = LandweberConfig(
             step_size=None if isinstance(step, str) else step,
             n_iters=iterations,
-            support_mask=mask,
             record_every=self._read("reconstruct", "record_every", int, 0, least=0),
         )
+        return method, settings, None if radius == "none" else radius
 
     def prediction(self) -> tuple[int, int, int]:
         """(n_samples, max_index, n_max): the caustic's initial samples, the
@@ -409,12 +408,16 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     f_true = cfg.rendered_phantom()
     op.check_support_of(f_true)
     g = op.forward(f_true)
-    method, lw_cfg = cfg.reconstruction()
+    method, lw_cfg, radius = cfg.reconstruction()
     entries = {"method": method}
     t0 = time.perf_counter()
     if method == "fbp":
         rec = fbp(g, op)
     else:
+        if radius is not None:
+            img = op.img_layout
+            mask = np.hypot(img.x_centers, img.y_centers[:, None]) <= radius
+            lw_cfg = replace(lw_cfg, support_mask=mask.astype(float))
         step = {"gamma_source": "config", "power_steps": 0}
         if lw_cfg.step_size is None:
             gamma, step = _step_size(op, out)
@@ -474,11 +477,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
                 locus = tangent_conjugate_locus(source, boundary.radius)
                 brio.save_locus_csv(out / "tangent_locus.csv", locus)
                 wrote.append("tangent_locus.csv")
-    radii = polygon_artifact_radii(n_max)
-    with open(out / "polygon_radii.csv", "w") as fh:
-        fh.write("radius,p,q\n")
-        for r in radii:
-            fh.write(f"{r.radius:.12g},{r.p},{r.q}\n")
+    brio.save_polygon_radii_csv(out / "polygon_radii.csv", polygon_artifact_radii(n_max))
     wrote.append("polygon_radii.csv")
     print(f"predict: wrote {', '.join(wrote)} in {out}")
     return 0

@@ -126,12 +126,10 @@ def conjugate_point(p, event, q0_offset: float = 0.0):
     return np.where(exists[..., None], q, np.nan)
 
 
-@dataclass
-class CausticPoint:
-    alpha: float
-    t: float  # total path length from the source through the vertex
-    point: np.ndarray
-    outside_domain: bool = False
+# one record per caustic point; ``t`` is the total path length from the
+# source through the vertex, ``point`` the conjugate point (x, y)
+CAUSTIC_FIELDS = np.dtype([("alpha", float), ("t", float), ("point", float, 2),
+                           ("outside_domain", bool)])
 
 
 @dataclass
@@ -139,7 +137,7 @@ class CausticCurve:
     """Conjugate points of a fixed source, ordered by ray angle."""
 
     source: np.ndarray
-    points: list  # CausticPoint, sorted by alpha
+    points: np.recarray  # CAUSTIC_FIELDS, sorted by alpha
     breaks: list  # indices into points where the polyline is interrupted
     refine_dist: float | None = None
     # intervals longer than refine_dist left unbisected, both ends outside
@@ -147,13 +145,7 @@ class CausticCurve:
 
     def segments(self) -> list[np.ndarray]:
         """Polyline pieces as (m, 2) arrays, split at gaps."""
-        segs = []
-        start = 0
-        for b in list(self.breaks) + [len(self.points)]:
-            if b - start >= 1:
-                segs.append(np.array([cp.point for cp in self.points[start:b]]))
-            start = b
-        return [s for s in segs if len(s) > 0]
+        return np.split(self.points.point, self.breaks)
 
 
 def _caustic_samples(p, boundary, alphas):
@@ -230,9 +222,8 @@ def caustic_curve(
     # a point right after a missing direction starts a new piece
     after_gap = np.concatenate([[False], ~present[:-1]])[present]
     breaks = [int(i) for i in np.flatnonzero(after_gap) if i > 0]
-    alphas, q, t, inside = alphas[present], q[present], t[present], inside[present]
-    points = [CausticPoint(float(a), float(ti), qi, not i)
-              for a, ti, qi, i in zip(alphas, t, q, inside.tolist())]
+    points = np.rec.fromarrays([alphas[present], t[present], q[present], ~inside[present]],
+                               dtype=CAUSTIC_FIELDS)
     return CausticCurve(source=p, points=points, breaks=breaks, refine_dist=refine_dist,
                         unrefined_outside=unrefined_outside)
 
@@ -469,15 +460,9 @@ def conjugate_chain(
     )
 
 
-@dataclass(frozen=True)
-class PolygonRadius:
-    radius: float
-    p: int
-    q: int
-
-
-def polygon_artifact_radii(n_max: int) -> list[PolygonRadius]:
-    """Radii cos(q pi / p) of persistent radial artifacts in the disk.
+def polygon_artifact_radii(n_max: int) -> np.recarray:
+    """Radii cos(q pi / p) of persistent radial artifacts in the disk, as
+    records (radius, p, q) sorted by decreasing radius.
 
     Periodic billiard orbits are the regular (possibly star) polygons p/q
     with 2 <= 2q < p and gcd(p, q) = 1; only even p = 2n leaves a
@@ -485,16 +470,8 @@ def polygon_artifact_radii(n_max: int) -> list[PolygonRadius]:
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    out = {}
-    for n in range(2, n_max + 1):
-        p = 2 * n
-        for q in range(1, (p + 1) // 2, 2):
-            if 2 * q >= p or gcd(p, q) != 1:
-                continue
-            out[(p, q)] = PolygonRadius(math.cos(q * math.pi / p), p, q)
-    radii = sorted(out.values(), key=lambda r: -r.radius)
-    deduped = []
-    for r in radii:
-        if not deduped or abs(deduped[-1].radius - r.radius) > 1e-12:
-            deduped.append(r)
-    return deduped
+    radii = sorted(((math.cos(q * math.pi / p), p, q) for p in range(4, 2 * n_max + 1, 2)
+                    for q in range(1, p // 2, 2) if gcd(p, q) == 1), key=lambda r: -r[0])
+    # drop a radius that agrees to rounding with the one before it
+    kept = radii[:1] + [r for prev, r in zip(radii, radii[1:]) if prev[0] - r[0] > 1e-12]
+    return np.rec.array(kept, dtype=[("radius", float), ("p", int), ("q", int)])

@@ -12,6 +12,7 @@ every first ``reconstruct``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from pathlib import Path
 
@@ -130,15 +131,24 @@ def _write_matrix(fh, data: np.ndarray) -> None:
         _write_rows(fh, fmt, data[i:i + step].ravel().tolist())
 
 
+def _columns(*columns: np.ndarray) -> list:
+    """The values of equally long columns, flat and row after row."""
+    return list(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+
+
+def _flags(outside: np.ndarray) -> np.ndarray:
+    return np.where(outside, "outside_domain", "ok")
+
+
 def save_caustic_csv(path, curve: CausticCurve) -> None:
     """One row per point, then ``# unrefined_outside,<count>,refine_dist,<d>``:
     how many intervals longer than ``refine_dist`` were left unbisected
     because both their ends lie outside the mirror."""
-    values = [v for cp in curve.points for v in
-              (cp.alpha, cp.t, *cp.point.tolist(), "outside_domain" if cp.outside_domain else "ok")]
+    pts = curve.points
     with open(path, "w") as fh:
         fh.write("alpha,t,x,y,flag\n")
-        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,%s\n", values)
+        _write_rows(fh, "%.12g,%.12g,%.12g,%.12g,%s\n",
+                    _columns(pts.alpha, pts.t, *pts.point.T, _flags(pts.outside_domain)))
         fh.write(f"# unrefined_outside,{curve.unrefined_outside},"
                  f"refine_dist,{curve.refine_dist}\n")
 
@@ -154,15 +164,20 @@ def save_locus_csv(path, locus: TangentLocus) -> None:
 
 
 def save_chain_csv(path, chain: ConjugateChain) -> None:
-    values = [v for i, c, out in zip(chain.index.tolist(), np.hstack([chain.x, chain.xi]).tolist(),
-                                     chain.outside_domain.tolist())
-              for v in (i, *c, "outside_domain" if out else "ok")]
     with open(path, "w") as fh:
         fh.write("index,x,y,xi_x,xi_y,status\n")
-        _write_rows(fh, "%d,%.12g,%.12g,%.12g,%.12g,%s\n", values)
+        _write_rows(fh, "%d,%.12g,%.12g,%.12g,%.12g,%s\n",
+                    _columns(chain.index, *chain.x.T, *chain.xi.T, _flags(chain.outside_domain)))
         for name, status in (("positive", chain.status_positive),
                              ("negative", chain.status_negative)):
             fh.write(f"# status_{name},{status.kind},{status.index}\n")
+
+
+def save_polygon_radii_csv(path, radii: np.recarray) -> None:
+    """One row per radius of ``conjugate.polygon_artifact_radii``."""
+    with open(path, "w") as fh:
+        fh.write("radius,p,q\n")
+        _write_rows(fh, "%.12g,%d,%d\n", _columns(radii.radius, radii.p, radii.q))
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -106,9 +106,10 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
     snapshots = []
     first = None
     grow_streak = 0
+    data = g.filled()
     for k in range(cfg.n_iters):
         # B 0 = 0, so the first residual is the data itself
-        r = g.copy_with(g.filled() - op.forward(f).filled() if k else g.filled())
+        r = g.copy_with(data - op.forward(f).filled() if k else data)
         resid = sino_norm(lambda_filter(r, power=0.5) if cfg.use_filter else r)
         if residuals and resid > residuals[-1] * (1.0 + 1e-12):
             grow_streak += 1

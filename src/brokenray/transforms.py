@@ -267,8 +267,33 @@ def _plan(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout,
     return A, q
 
 
-def _image_plan(img: GridImage, layout: SinogramLayout, h: float | None):
-    return _plan(img.n, img.x_min, img.y_min, img.dx, layout, _line_step(h, img.dx))
+@functools.lru_cache(maxsize=2)
+def _plan_transpose(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout,
+                    h: float):
+    """``_plan``'s matrix transposed, which shares its arrays, and its q;
+    kept, so that an adjoint does not build the transpose on every call."""
+    A, q = _plan(n, x_min, y_min, dx, layout, h)
+    return A.T, q
+
+
+def _plan_key(img: GridImage, layout: SinogramLayout, h: float | None) -> tuple:
+    return img.n, img.x_min, img.y_min, img.dx, layout, _line_step(h, img.dx)
+
+
+@functools.lru_cache(maxsize=2)
+def _quarter_turns(n: int, q: int):
+    """Index tables of the q quarter turns of an n x n image.
+
+    ``data.ravel()[gather]`` is the (n*n, q) stack whose column k is
+    ``rot90(data, k).ravel()``; for an (n*n, q) array ``back``,
+    ``back.ravel()[scatter]`` is the (q, n*n) stack whose row k is
+    ``rot90(back[:, k].reshape(n, n), -k).ravel()``.
+    """
+    pixels = np.arange(n * n).reshape(n, n)
+    gather = np.stack([np.rot90(pixels, k).ravel() for k in range(q)], axis=1)
+    scatter = np.stack([np.rot90(pixels, -k).ravel() * q + k for k in range(q)])
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, scatter
 
 
 def radon(f: GridImage, layout: SinogramLayout, h: float | None = None) -> Sinogram:
@@ -278,8 +303,8 @@ def radon(f: GridImage, layout: SinogramLayout, h: float | None = None) -> Sinog
     """
     if not np.all(np.isfinite(f.data)):
         raise ValueError("image contains non-finite samples")
-    A, q = _image_plan(f, layout, h)
-    turns = np.stack([np.rot90(f.data, k).ravel() for k in range(q)], axis=1)
+    A, q = _plan(*_plan_key(f, layout, h))
+    turns = f.data.ravel()[_quarter_turns(f.n, q)[0]]
     # column k of the product holds the angle rows from k n_alpha / q on
     out = (A @ turns).T.reshape(layout.n_alpha, layout.n_s)
     return Sinogram(out, layout.s_max)
@@ -293,10 +318,11 @@ def radon_adjoint(g: Sinogram, img_layout: GridImage, h: float | None = None) ->
     products ``image_inner``/``sino_inner``.
     """
     layout = g.layout
-    A, q = _image_plan(img_layout, layout, h)
+    AT, q = _plan_transpose(*_plan_key(img_layout, layout, h))
     n = img_layout.n
-    back = A.T @ np.ascontiguousarray(g.filled().reshape(q, -1).T)
-    acc = sum(np.rot90(back[:, k].reshape(n, n), -k) for k in range(q))
+    back = AT @ np.ascontiguousarray(g.filled().reshape(q, -1).T)
+    # sum adds the turns to 0 one by one, in order
+    acc = sum(back.ravel()[_quarter_turns(n, q)[1]]).reshape(n, n)
     scale = layout.ds * layout.dalpha / img_layout.dx**2
     return img_layout.copy_with(acc * scale)
 
@@ -480,11 +506,21 @@ class RadonOperator:
                 "image does not vanish within the margin of the reflecting boundary"
             )
 
+    @functools.cached_property
+    def _stencils(self) -> list:
+        """The corners as (flat index, weight) pairs over the raveled
+        sinogram, derived on the first apply."""
+        lay = self.sino_layout
+        shape = (lay.n_alpha, lay.n_s)
+        return [(np.broadcast_to(rows * lay.n_s + cols, shape).ravel(),
+                 np.broadcast_to(w, shape).ravel()) for rows, cols, w in self.corners]
+
     def forward(self, f: GridImage) -> Sinogram:
         g = radon(f, self.sino_layout, self.h)
-        data = g.data
-        for rows, cols, w in self.corners:
-            data = data + g.data[rows, cols] * w
+        flat = data = g.data.ravel()
+        for idx, w in self._stencils:
+            data = data + flat[idx] * w
+        data = data.reshape(g.data.shape)
         if self.mask is not None:
             data = np.where(self.mask, data, np.nan)
         return g.copy_with(data)
@@ -492,11 +528,10 @@ class RadonOperator:
     def adjoint(self, g: Sinogram) -> GridImage:
         lay = self.sino_layout
         vals = g.filled() if self.mask is None else np.where(self.mask, g.filled(), 0.0)
-        acc = vals.ravel()
-        for rows, cols, w in self.corners:
-            idx = (rows * lay.n_s + cols).ravel()
-            acc = acc + np.bincount(idx, weights=(vals * w).ravel(), minlength=acc.size)
-        back = Sinogram(acc.reshape(vals.shape), lay.s_max)
+        acc = vals = vals.ravel()
+        for idx, w in self._stencils:
+            acc = acc + np.bincount(idx, weights=vals * w, minlength=acc.size)
+        back = Sinogram(acc.reshape(lay.n_alpha, lay.n_s), lay.s_max)
         return radon_adjoint(back, self.img_layout, self.h)
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from brokenray import transforms
 from brokenray.conjugate import (
     DEGENERATE_TOL,
     ChainStatus,
@@ -521,6 +522,51 @@ def loop_radon_adjoint(g, img, h):
             acc += np.bincount(base + shift, weights=row * w, minlength=acc.size)
     scale = layout.ds * layout.dalpha / img.dx**2
     return acc.reshape(width, width)[_PAD:-_PAD, _PAD:-_PAD] * scale
+
+
+# Reference arithmetic of the fast Radon pair and line map: the quarter
+# turns through np.rot90, and each corner of the line map as a 2-d gather
+# and a bincount of its own.  The fast paths must give these bits.
+
+
+def rot90_radon(f, layout, h):
+    """Sinogram data of ``transforms.radon(f, layout, h)`` from a stack of
+    np.rot90 turns."""
+    A, q = transforms._plan(*transforms._plan_key(f, layout, h))
+    turns = np.stack([np.rot90(f.data, k).ravel() for k in range(q)], axis=1)
+    return (A @ turns).T.reshape(layout.n_alpha, layout.n_s)
+
+
+def rot90_radon_adjoint(g, img, h):
+    """Image data of ``transforms.radon_adjoint(g, img, h)``, each turn
+    rotated back by np.rot90 and the turns summed in order."""
+    layout = g.layout
+    A, q = transforms._plan(*transforms._plan_key(img, layout, h))
+    n = img.n
+    back = A.T @ np.ascontiguousarray(g.filled().reshape(q, -1).T)
+    acc = sum(np.rot90(back[:, k].reshape(n, n), -k) for k in range(q))
+    return acc * (layout.ds * layout.dalpha / img.dx**2)
+
+
+def corner_forward(op, f):
+    """Sinogram data of ``op.forward(f)``, one 2-d gather per corner."""
+    rf = rot90_radon(f, op.sino_layout, op.h)
+    data = rf
+    for rows, cols, w in op.corners:
+        data = data + rf[rows, cols] * w
+    return data if op.mask is None else np.where(op.mask, data, np.nan)
+
+
+def corner_adjoint(op, g):
+    """Image data of ``op.adjoint(g)``, one bincount per corner."""
+    lay = op.sino_layout
+    vals = g.filled() if op.mask is None else np.where(op.mask, g.filled(), 0.0)
+    acc = vals.ravel()
+    for rows, cols, w in op.corners:
+        idx = (rows * lay.n_s + cols).ravel()
+        acc = acc + np.bincount(idx, weights=(vals * w).ravel(), minlength=acc.size)
+    back = transforms.Sinogram(acc.reshape(vals.shape), lay.s_max)
+    return rot90_radon_adjoint(back, op.img_layout, op.h)
 
 
 # Reference geometry for the batched computations that reflect rays: the

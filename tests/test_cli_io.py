@@ -21,8 +21,8 @@ from brokenray.cli import (
     main,
 )
 from brokenray.conjugate import (
+    CAUSTIC_FIELDS,
     CausticCurve,
-    CausticPoint,
     ChainStatus,
     ConjugateChain,
     LocusZero,
@@ -42,6 +42,7 @@ from brokenray.io import (
     save_chain_csv,
     save_locus_csv,
     save_pgm,
+    save_polygon_radii_csv,
     save_sinogram,
 )
 from brokenray.transforms import GridImage, Sinogram
@@ -135,14 +136,13 @@ def test_prediction_csvs_keep_the_per_row_format(tmp_path):
     # the one-pass writers must give the bytes of one f-string per row
     v = np.array(AWKWARD)
     rows = np.column_stack([np.roll(v, k) for k in range(4)])
-    curve = CausticCurve(
-        source=np.zeros(2), breaks=[],
-        points=[CausticPoint(float(a), float(t), np.array([x, y]), bool(i % 3 == 1))
-                for i, (a, t, x, y) in enumerate(rows)],
-        refine_dist=0.0625, unrefined_outside=28)
+    points = np.rec.fromarrays([rows[:, 0], rows[:, 1], rows[:, 2:], np.arange(8) % 3 == 1],
+                               dtype=CAUSTIC_FIELDS)
+    curve = CausticCurve(source=np.zeros(2), breaks=[], points=points,
+                         refine_dist=0.0625, unrefined_outside=28)
     expected = "alpha,t,x,y,flag\n" + "".join(
-        f"{cp.alpha:.12g},{cp.t:.12g},{cp.point[0]:.12g},{cp.point[1]:.12g},"
-        f"{'outside_domain' if cp.outside_domain else 'ok'}\n" for cp in curve.points)
+        f"{a:.12g},{t:.12g},{x:.12g},{y:.12g},{'outside_domain' if i % 3 == 1 else 'ok'}\n"
+        for i, (a, t, x, y) in enumerate(rows.tolist()))
     save_caustic_csv(tmp_path / "caustic.csv", curve)
     assert (tmp_path / "caustic.csv").read_text() == (
         expected + "# unrefined_outside,28,refine_dist,0.0625\n")
@@ -173,6 +173,12 @@ def test_prediction_csvs_keep_the_per_row_format(tmp_path):
     assert (tmp_path / "chain.csv").read_text() == expected + (
         "# status_positive,truncated,4\n# status_negative,incomplete,-3\n")
     assert "outside_domain" in expected and "-0," in expected
+
+    radii = np.rec.fromarrays([v, np.arange(4, 20, 2), np.arange(1, 17, 2)], names="radius,p,q")
+    expected = "radius,p,q\n" + "".join(f"{r:.12g},{p},{q}\n" for r, p, q in radii.tolist())
+    save_polygon_radii_csv(tmp_path / "radii.csv", radii)
+    assert (tmp_path / "radii.csv").read_text() == expected
+    assert "nan,4,1" in expected and "-0,6,3" in expected
 
 
 @pytest.mark.parametrize("block", [1 << 16, 10, 3], ids=["one-block", "rows-a-block",
@@ -286,6 +292,21 @@ class TestCommands:
         assert manifest["method"] == "landweber"
         assert (out / "iterate_k0002.txt").exists()
         assert (out / "backprojection_f1.txt").exists()
+
+    def test_support_mask_confines_the_iterates(self, tmp_path):
+        # loading keeps only the radius; reconstruct builds the mask from it
+        text = SMALL_CONFIG.replace("method = fbp",
+                                    "method = landweber\niterations = 3\nsupport_mask = disk:0.5")
+        method, settings, radius = ExperimentConfig.from_string(text).reconstruction()
+        assert (method, settings.support_mask, radius) == ("landweber", None, 0.5)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rec = load_image(out / "reconstruction.txt")
+        X, Y = rec.meshgrid()
+        inside = np.hypot(X, Y) <= 0.5
+        assert np.all(rec.data[~inside] == 0.0) and np.all(rec.data[inside] != 0.0)
 
     def test_landweber_runs_once_per_reconstruct(self, tmp_path, monkeypatch):
         # f^(1) comes from the main run and equals a separate 1-step run

@@ -30,11 +30,15 @@ from brokenray.transforms import (
 )
 from conftest import (
     Line,
+    corner_adjoint,
+    corner_forward,
     loop_radon,
     loop_radon_adjoint,
     loop_reflection_table,
     point_at,
     reflect_one,
+    rot90_radon,
+    rot90_radon_adjoint,
     star_curve_points,
 )
 
@@ -512,6 +516,36 @@ class TestOneOperator:
 
         h = random_sino(lay, rng)
         assert sino_inner(g, h) == pytest.approx(image_inner(f, op.adjoint(h)), rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["disk_half_plane", "disk_q1",
+                                                           "disk_off_centre"])
+    def test_fast_paths_match_the_references_bit_for_bit(self, case):
+        # the quarter-turn tables and the flat stencils only move values:
+        # every bit, the sign of zero included, is the reference's
+        rng = np.random.default_rng(31)
+        window = (-1.2, 1.8, -1.6, 1.4) if case == "disk_off_centre" else (-1.5, 1.5) * 2
+        f = GridImage(rng.standard_normal((32, 32)), *window)
+        op = {
+            "disk_half_plane": lambda img: BrokenRayOperator(
+                Circle(1.0), Family.half_plane_incoming(0.7), img, SinogramLayout(32, 40, 1.0)),
+            "disk_q1": lambda img: BrokenRayOperator(
+                Circle(1.0), Family.full(), img, SinogramLayout(32, 30, 1.0)),
+            "disk_off_centre": lambda img: BrokenRayOperator(
+                Circle(1.0), Family.full(), img, SinogramLayout(32, 40, 1.0)),
+            **ORACLE_CASES,
+        }[case](f)
+        assert "_stencils" not in vars(op)  # derived on the first apply, not built
+        lay = op.sino_layout
+        assert transforms._plan(*transforms._plan_key(f, lay, op.h))[1] == (
+            1 if case in ("disk_q1", "disk_off_centre") else 4)
+        g = random_sino(lay, rng)
+        g.data[rng.random(g.data.shape) < 0.1] = np.nan
+        for got, want in ((radon(f, lay, op.h).data, rot90_radon(f, lay, op.h)),
+                          (radon_adjoint(g, f, op.h).data, rot90_radon_adjoint(g, f, op.h)),
+                          (op.forward(f).data, corner_forward(op, f)),
+                          (op.adjoint(g).data, corner_adjoint(op, g))):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_reflection_table_lets_bugs_through(self, monkeypatch):
         # only the geometric failures of a reflection mask a bin
