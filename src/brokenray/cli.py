@@ -14,7 +14,8 @@ its check).  Loading a config converts and checks every key it uses, so a
 malformed config is rejected before any output is written; unknown keys
 are ignored.  A family that admits no bin is rejected when the operator is
 built, also before any output.
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration, usage or write error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -64,38 +65,6 @@ from .transforms import (
     radon_adjoint,
     sino_inner,
 )
-
-DEFAULT_CONFIG = """\
-[experiment]
-name = disk_fbp
-
-[grid]
-n = 256
-half_width = 1.0
-n_s = 256
-n_alpha = 360
-s_max = 1.0
-
-[boundary]
-kind = circle
-radius = 1.0
-
-[family]
-kind = full
-
-[phantom]
-kind = gaussian
-center = 0.5 0.0
-sigma = 0.03
-amplitude = 1.0
-
-[reconstruct]
-method = fbp
-iterations = 100
-step_size = auto
-support_mask = none
-record_every = 0
-"""
 
 _REQUIRED = object()  # the default of a key that has none
 
@@ -397,7 +366,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
         "forward_elapsed_s": f"{time.perf_counter() - t0:.3f}",
         "phantom_sha256": brio.image_sha256(f),
     }, kept={})
-    (out / "config_resolved.ini").write_text(cfg.serialize())
+    brio.write_text(out / "config_resolved.ini", cfg.serialize())
     print(f"forward: wrote {out/'sinogram.txt'}")
     return 0
 
@@ -449,7 +418,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, args) -> int:
     brio.save_image(out / "error_map.txt", err)
     brio.save_pgm(out / "error_map.pgm", err)
     _record(out, cfg, entries, kept)
-    (out / "config_resolved.ini").write_text(cfg.serialize())
+    brio.write_text(out / "config_resolved.ini", cfg.serialize())
     print(f"reconstruct[{method}]: relative error e = {e:.4g}; wrote {out}")
     return 0
 
@@ -634,6 +603,10 @@ def main(argv=None) -> int:
     except BrokenRayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the output directory or a file in it cannot be made
+        print(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ The iteration solves the filtered normal equations of ``B f = g``: with
 
 applies the filter once per step (the split square root has the same fixed
 points and costs an extra FFT).  The data residual ``|Lambda^(1/2)(g - B f)|``
-is nonincreasing for step sizes below 2/|L^* L|; the default step is
+is filtered from the same FFT of ``g - B f`` as the update, and is
+nonincreasing for step sizes below 2/|L^* L|; the default step is
 1/|L^* L| from a power iteration, half the stability bound.
 
 The power iteration can resume from the image its last step was applied
@@ -110,7 +111,9 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
     for k in range(cfg.n_iters):
         # B 0 = 0, so the first residual is the data itself
         r = g.copy_with(data - op.forward(f).filled() if k else data)
-        resid = sino_norm(lambda_filter(r, power=0.5) if cfg.use_filter else r)
+        # one FFT of r gives both the norm's and the update's filter
+        half, full = lambda_filter(r, power=(0.5, 1.0)) if cfg.use_filter else (r, r)
+        resid = sino_norm(half)
         if residuals and resid > residuals[-1] * (1.0 + 1e-12):
             grow_streak += 1
             if grow_streak >= cfg.divergence_patience:
@@ -121,7 +124,7 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
         else:
             grow_streak = 0
         residuals.append(resid)
-        update = op.adjoint(lambda_filter(r, power=1.0) if cfg.use_filter else r)
+        update = op.adjoint(full)
         new = f.data + gamma * update.data
         if cfg.support_mask is not None:
             new = new * cfg.support_mask

@@ -327,25 +327,39 @@ def radon_adjoint(g: Sinogram, img_layout: GridImage, h: float | None = None) ->
     return img_layout.copy_with(acc * scale)
 
 
-def lambda_filter(g: Sinogram, power: float = 1.0) -> Sinogram:
+@functools.lru_cache(maxsize=8)
+def _lambda_multiplier(n_pad: int, ds: float, power: float) -> np.ndarray:
+    """(|sigma| / 4 pi)^power on the rfft frequencies of n_pad samples
+    ``ds`` apart, read-only."""
+    sigma = TWO_PI * np.fft.rfftfreq(n_pad, d=ds)
+    mult = (LAMBDA_SCALE * sigma) ** power
+    mult.flags.writeable = False
+    return mult
+
+
+def lambda_filter(g: Sinogram, power: float | tuple = 1.0):
     """Apply (|sigma| / 4 pi)^power as a Fourier multiplier along each
     angle row, with zero padding to twice the row length.
 
     power=1 is the full derivative-type filter used for filtered
     backprojection; power=1/2 is its self-adjoint square root.  Masked
     input bins are treated as zero; the output is fully finite.
+
+    A tuple of powers returns a tuple of sinograms, one per power, from one
+    forward FFT of the rows; each is bit for bit the sinogram a call with
+    that power alone returns.
     """
     lay = g.layout
     n_pad = 2 * lay.n_s
-    rows = g.filled()
-    buf = np.zeros((lay.n_alpha, n_pad))
-    buf[:, : lay.n_s] = rows
-    freqs = np.fft.rfftfreq(n_pad, d=lay.ds)
-    sigma = TWO_PI * freqs
-    mult = (LAMBDA_SCALE * sigma) ** power
-    spec = np.fft.rfft(buf, axis=1) * mult[None, :]
-    filtered = np.fft.irfft(spec, n=n_pad, axis=1)[:, : lay.n_s]
-    return g.copy_with(filtered)
+    # rfft pads each row with zeros to n_pad
+    spec = np.fft.rfft(g.filled(), n=n_pad, axis=1)
+    powers = power if isinstance(power, tuple) else (power,)
+    out = tuple(
+        g.copy_with(np.fft.irfft(spec * _lambda_multiplier(n_pad, lay.ds, p), n=n_pad,
+                                 axis=1)[:, : lay.n_s])
+        for p in powers
+    )
+    return out if powers is power else out[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokenray.cli import (
-    DEFAULT_CONFIG,
     PHANTOM_FILES,
     POWER_ITERATION_FILE,
     ExperimentConfig,
@@ -47,6 +46,39 @@ from brokenray.io import (
 )
 from brokenray.transforms import GridImage, Sinogram
 
+
+# a complete config, every section and key written out
+DEFAULT_CONFIG = """\
+[experiment]
+name = disk_fbp
+
+[grid]
+n = 256
+half_width = 1.0
+n_s = 256
+n_alpha = 360
+s_max = 1.0
+
+[boundary]
+kind = circle
+radius = 1.0
+
+[family]
+kind = full
+
+[phantom]
+kind = gaussian
+center = 0.5 0.0
+sigma = 0.03
+amplitude = 1.0
+
+[reconstruct]
+method = fbp
+iterations = 100
+step_size = auto
+support_mask = none
+record_every = 0
+"""
 
 SMALL_CONFIG = """\
 [experiment]
@@ -517,6 +549,70 @@ class TestCommands:
             assert rc.returncode == 1
             assert "integer >= 2" in rc.stderr
             assert "Traceback" not in rc.stderr
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
+                                      "output-is-a-directory"])
+    def test_write_failure_exits_1(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SMALL_CONFIG)
+        (tmp_path / "file").write_text("kept\n")
+        out = {"out-is-a-file": tmp_path / "file", "out-under-a-file": tmp_path / "file" / "run",
+               "output-is-a-directory": tmp_path / "out"}[case]
+        if case == "output-is-a-directory":
+            (out / "reconstruction.txt").mkdir(parents=True)
+        rc = main(["reconstruct", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        bad = out / "reconstruction.txt" if case == "output-is-a-directory" else out
+        assert err.startswith(f"cannot write {bad}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("old", ["longer-stale-file", "hard-link", "symlink"])
+    def test_outputs_replace_what_the_path_held(self, tmp_path, old):
+        # every writer, the renamed power iteration and config_resolved.ini
+        # create a new file: the directory ends up as a fresh one would, and
+        # no old file or link target is written through
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SMALL_CONFIG.replace(
+            "method = fbp", "method = landweber\niterations = 3\nrecord_every = 2"))
+
+        def run(out):
+            for command in ("forward", "reconstruct", "predict"):
+                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def timeless(manifest):
+            return [line for line in manifest.splitlines() if b"_elapsed_s = " not in line]
+
+        def stale(name, size):
+            return b"stale %s\n" % name.encode() * (size // 8 + 2)
+
+        fresh = run(tmp_path / "fresh")
+        assert {"config_resolved.ini", POWER_ITERATION_FILE, "iterate_k0002.txt", "chain.csv",
+                "tangent_locus.csv", "polygon_radii.csv", *PHANTOM_FILES} <= set(fresh)
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        out.mkdir()
+        kept.mkdir()
+        for name, data in fresh.items():
+            if old == "longer-stale-file":
+                (out / name).write_bytes(stale(name, len(data)))
+                continue
+            (kept / name).write_bytes(stale(name, len(data)))
+            if old == "hard-link":
+                os.link(kept / name, out / name)
+            else:
+                (out / name).symlink_to(kept / name)
+        wrote = run(out)
+        assert set(wrote) == set(fresh)
+        for name, data in fresh.items():
+            assert (out / name).is_file() and not (out / name).is_symlink()
+            if name == "manifest.txt":
+                assert timeless(wrote[name]) == timeless(data)
+            else:
+                assert wrote[name] == data, name
+            if old != "longer-stale-file":
+                assert (kept / name).read_bytes() == stale(name, len(data))
 
     def test_import_leaves_unused_scipy_modules_unloaded(self):
         code = (

@@ -278,6 +278,30 @@ class TestLambdaFilter:
             lambda_filter(g).data, lambda_filter(gz).data, atol=1e-14
         )
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    def test_powers_from_one_fft_match_one_power_each(self, masked):
+        # a tuple of powers returns, bit for bit, one call per power, and
+        # each equals the product on an explicitly zero-padded buffer
+        rng = np.random.default_rng(11)
+        lay = SinogramLayout(45, 12, 1.25)
+        g = random_sino(lay, rng)
+        if masked:
+            g.data[rng.random(g.data.shape) < 0.2] = np.nan
+        assert np.isnan(g.data).any() == masked
+        half, full = lambda_filter(g, (0.5, 1.0))
+        assert half.data.tobytes() == lambda_filter(g, 0.5).data.tobytes()
+        assert full.data.tobytes() == lambda_filter(g, 1.0).data.tobytes()
+        single = lambda_filter(g, 0.5)
+        assert isinstance(single, Sinogram) and single.s_max == g.s_max
+        assert np.isfinite(full.data).all()
+        buf = np.zeros((lay.n_alpha, 2 * lay.n_s))
+        buf[:, : lay.n_s] = g.filled()
+        sigma = 2.0 * math.pi * np.fft.rfftfreq(2 * lay.n_s, d=lay.ds)
+        for power, out in ((0.5, half), (1.0, full)):
+            spec = np.fft.rfft(buf, axis=1) * ((1.0 / (4.0 * math.pi) * sigma) ** power)[None, :]
+            ref = np.fft.irfft(spec, n=2 * lay.n_s, axis=1)[:, : lay.n_s]
+            assert out.data.tobytes() == ref.tobytes()
+
 
 def disk_family_op(n=64, n_alpha=90, sigma=0.08, center=(0.35, 0.0)):
     img = gaussian_image(n=n, center=center, sigma=sigma)
