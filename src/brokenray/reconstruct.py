@@ -31,7 +31,6 @@ from .transforms import (
     Sinogram,
     image_norm,
     lambda_filter,
-    sino_norm,
 )
 
 
@@ -108,12 +107,14 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
     first = None
     grow_streak = 0
     data = g.filled()
+    lay = g.layout
     for k in range(cfg.n_iters):
         # B 0 = 0, so the first residual is the data itself
         r = g.copy_with(data - op.forward(f).filled() if k else data)
         # one FFT of r gives both the norm's and the update's filter
         half, full = lambda_filter(r, power=(0.5, 1.0)) if cfg.use_filter else (r, r)
-        resid = sino_norm(half)
+        # sino_norm without its NaN fills: r and its filters hold no NaN
+        resid = math.sqrt(max(float(np.sum(half.data * half.data)) * lay.ds * lay.dalpha, 0.0))
         if residuals and resid > residuals[-1] * (1.0 + 1e-12):
             grow_streak += 1
             if grow_streak >= cfg.divergence_patience:

@@ -328,11 +328,11 @@ def radon_adjoint(g: Sinogram, img_layout: GridImage, h: float | None = None) ->
 
 
 @functools.lru_cache(maxsize=8)
-def _lambda_multiplier(n_pad: int, ds: float, power: float) -> np.ndarray:
-    """(|sigma| / 4 pi)^power on the rfft frequencies of n_pad samples
-    ``ds`` apart, read-only."""
+def _lambda_multiplier(n_pad: int, ds: float, powers: tuple) -> np.ndarray:
+    """(|sigma| / 4 pi)^p on the rfft frequencies of n_pad samples ``ds``
+    apart, one row per power p, read-only."""
     sigma = TWO_PI * np.fft.rfftfreq(n_pad, d=ds)
-    mult = (LAMBDA_SCALE * sigma) ** power
+    mult = np.stack([(LAMBDA_SCALE * sigma) ** p for p in powers])
     mult.flags.writeable = False
     return mult
 
@@ -346,19 +346,17 @@ def lambda_filter(g: Sinogram, power: float | tuple = 1.0):
     input bins are treated as zero; the output is fully finite.
 
     A tuple of powers returns a tuple of sinograms, one per power, from one
-    forward FFT of the rows; each is bit for bit the sinogram a call with
-    that power alone returns.
+    forward and one inverse FFT of the rows; each is bit for bit the
+    sinogram a call with that power alone returns.
     """
     lay = g.layout
     n_pad = 2 * lay.n_s
     # rfft pads each row with zeros to n_pad
     spec = np.fft.rfft(g.filled(), n=n_pad, axis=1)
     powers = power if isinstance(power, tuple) else (power,)
-    out = tuple(
-        g.copy_with(np.fft.irfft(spec * _lambda_multiplier(n_pad, lay.ds, p), n=n_pad,
-                                 axis=1)[:, : lay.n_s])
-        for p in powers
-    )
+    mult = _lambda_multiplier(n_pad, lay.ds, powers)
+    rows = np.fft.irfft(spec * mult[:, None, :], n=n_pad, axis=2)[:, :, : lay.n_s]
+    out = tuple(g.copy_with(r) for r in rows)
     return out if powers is power else out[0]
 
 

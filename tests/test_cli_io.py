@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from brokenray.cli import (
     PHANTOM_FILES,
@@ -213,24 +214,75 @@ def test_prediction_csvs_keep_the_per_row_format(tmp_path):
     assert "nan,4,1" in expected and "-0,6,3" in expected
 
 
+# values whose 17-digit text is hard to build from integers: ties at the
+# 17th digit (dyadic, so exact) that round half-even down and up, in fixed
+# form and in exponent form; values within an ulp of a power of ten, where
+# log10 misses the exponent, and ones whose rounding carries into the next
+# decade (the doubles nearest 1e-14 and 1e-70 lie just below them); the
+# edges of the fixed form; trailing zeros; zeros, NaN, infinities, subnormals
+HARD = [
+    1 + 2**-17, 1 + 3 * 2**-17, (2**17 + 1) / 2**18, (2**8 + 1) / 2**21, 1000 + 2**-14,
+    1e15 + 0.25, 1e15 + 0.75, 43 * 2**-22, 3 * 2**-24, 3 * 2**-25, 5 * 2**-24,
+    *(math.nextafter(10.0**j, to) for j in (-7, -5, -1, 0, 1, 15) for to in (0.0, math.inf)),
+    1e-14, 1e-70, 1e-305, 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+    0.5, 123.0, 1e15, 2.5e-7, 100.25, 0.001, 7e-300,
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072009e-308, 1e-310,
+]
+HARD += [-x for x in HARD[:11]] + [-1e-14, -1e-4, -1e16, -0.5, -123.0, -5e-324]
+
+
 @pytest.mark.parametrize("block", [1 << 16, 10, 3], ids=["one-block", "rows-a-block",
                                                            "block-below-a-row"])
 def test_matrix_files_keep_the_savetxt_bytes(tmp_path, monkeypatch, block):
     # images and sinograms go through the row writer in blocks of whole
-    # rows; each file must hold the bytes np.savetxt wrote, at any block size
+    # rows; each file must hold the bytes np.savetxt wrote, at any block
+    # size, whether its blocks take the exact digits or '%.17g' itself
     from brokenray import io as brio
 
+    # a benchmark workload on each side of the cut-over: the 16 x 24 ellipse
+    # sinogram keeps '%.17g', the 40 x 40 parallel-ray images do not
+    assert 384 < brio._EXACT_MIN_VALUES <= 1600
     monkeypatch.setattr(brio, "_MATRIX_BLOCK", block)
-    img = GridImage(np.resize(np.array(AWKWARD), (5, 5)), -2.0, 1.0 / 3.0, -1.0, 4.0 / 3.0)
-    g = Sinogram(np.resize(np.array(AWKWARD)[::-1], (5, 7)), 1.5)
-    for name, save, obj, matrix, header in (
-        ("img.txt", save_image, img, img.data[::-1], brio._image_header(img)),
-        ("sino.txt", save_sinogram, g, g.data, "7 5 1.5\n"),
-    ):
-        save(tmp_path / name, obj)
-        expected = io.StringIO()
-        np.savetxt(expected, matrix, fmt="%.17g")
-        assert (tmp_path / name).read_text() == header + expected.getvalue()
+    values = np.array(AWKWARD + HARD)
+    img = GridImage(np.resize(values, (9, 9)), -2.0, 1.0 / 3.0, -1.0, 4.0 / 3.0)
+    g = Sinogram(np.resize(values[::-1], (11, 7)), 1.5)
+    assert img.data.size >= values.size and g.data.size >= values.size
+    for exact_min in (0, 1 << 30):
+        monkeypatch.setattr(brio, "_EXACT_MIN_VALUES", exact_min)
+        for name, save, obj, matrix, header in (
+            ("img.txt", save_image, img, img.data[::-1], brio._image_header(img)),
+            ("sino.txt", save_sinogram, g, g.data, "7 11 1.5\n"),
+        ):
+            save(tmp_path / name, obj)
+            expected = io.StringIO()
+            np.savetxt(expected, matrix, fmt="%.17g")
+            assert (tmp_path / name).read_text() == header + expected.getvalue()
+
+
+def test_hard_values_take_each_path_of_the_exact_digits():
+    # the table above reaches what it is there for: ties decided by parity,
+    # a carry, an exponent that log10 misses, and the unsure inexact ties
+    from brokenray import io as brio
+
+    a = np.array([1 + 2**-17, 1 + 3 * 2**-17, 1e-14, math.nextafter(1e-4, 0.0), 3 * 2**-24])
+    n, k, sure = brio._digits17(a)
+    assert n.tolist()[:2] == [10000076293945312, 10000228881835938]
+    assert (n[2], k[2]) == (10**16, -14)
+    assert k[3] == -5 and np.floor(np.log10(a[3])) == -4
+    assert sure.tolist() == [True, True, True, True, False]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                  elements=st.floats()))
+def test_exact_digits_match_savetxt(data):
+    from brokenray import io as brio
+
+    expected = io.StringIO()
+    np.savetxt(expected, data, fmt="%.17g")
+    assert brio._format_block(data) == expected.getvalue()
 
 
 class TestConfig:
