@@ -53,6 +53,7 @@ from .reconstruct import (
     relative_error,
 )
 from .transforms import (
+    _SUPPORT_MARGIN_PX,
     BrokenRayOperator,
     Family,
     GridImage,
@@ -172,24 +173,27 @@ class ExperimentConfig:
         )
 
     def boundary(self):
-        """The mirror, or None for ``kind = none``."""
+        """The mirror, or None for ``kind = none`` and for the parallel-ray
+        family, which has no mirror.  The section is checked either way."""
         kind = self._read("boundary", "kind", str, "circle",
                           choices=("circle", "ellipse", "parabola", "generic", "none"))
         if kind == "circle":
-            return Circle(self._read("boundary", "radius", float, 1.0, positive=True))
-        if kind == "ellipse":
-            return Ellipse(self._read("boundary", "a", float, positive=True),
-                           self._read("boundary", "b", float, positive=True))
-        if kind == "parabola":
-            return Parabola(self._read("boundary", "focal", float, 1.0, positive=True),
-                            self._read("boundary", "x_max", float, 4.0, positive=True))
-        if kind == "generic":
+            mirror = Circle(self._read("boundary", "radius", float, 1.0, positive=True))
+        elif kind == "ellipse":
+            mirror = Ellipse(self._read("boundary", "a", float, positive=True),
+                             self._read("boundary", "b", float, positive=True))
+        elif kind == "parabola":
+            mirror = Parabola(self._read("boundary", "focal", float, 1.0, positive=True),
+                              self._read("boundary", "x_max", float, 4.0, positive=True))
+        elif kind == "generic":
             csv = self._read("boundary", "csv", str)
             try:
-                return SampledCurve.from_csv(csv)
+                mirror = SampledCurve.from_csv(csv)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"[boundary] csv = {csv!r}: {exc}") from None
-        return None
+        else:
+            return None
+        return None if self.family_kind == "parallel" else mirror
 
     @property
     def family_kind(self) -> str:
@@ -233,8 +237,9 @@ class ExperimentConfig:
         sigma = self._read("phantom", "sigma", float, 0.05, positive=True)
         wavenumber = self._read("phantom", "wavenumber", float, 80.0, least=0.0)
         amp = self._read("phantom", "amplitude", float, 1.0)
-        # below 2 px the clipped phantom fails the operator's 2 px support check
-        margin = self._read("phantom", "clip_margin_px", float, 2.0, least=2.0)
+        # below it the clipped phantom fails the operator's support check
+        margin = self._read("phantom", "clip_margin_px", float, _SUPPORT_MARGIN_PX,
+                            least=_SUPPORT_MARGIN_PX)
         if kind == "gaussian":
             return PhantomSpec.gaussian(center, sigma, amp), margin
         if kind == "coherent":
@@ -287,7 +292,7 @@ class ExperimentConfig:
         spec, margin = self.phantom()
         img = render(spec, self.image_layout())
         boundary = self.boundary()
-        if boundary is not None and self.family_kind != "parallel":
+        if boundary is not None:
             img = clip_to_boundary(img, boundary, margin)
         return img
 
@@ -341,11 +346,10 @@ def _step_size(op, out: Path) -> tuple[float, dict]:
     layout = op.img_layout
     if last is not None and (last.n, last.x_min, last.x_max, last.y_min, last.y_max) == (
             layout.n, layout.x_min, layout.x_max, layout.y_min, layout.y_max):
-        gamma, replay = reconstruct.step_size_estimate(op, n_steps=1, start=last,
-                                                       return_history=True)
+        gamma, replay, _ = reconstruct.step_size_estimate(op, n_steps=1, start=last)
         if replay == history[-1:]:
             return gamma, {"gamma_source": "replayed", "power_steps": 1}
-    gamma, history, last = reconstruct.step_size_estimate(op, return_last=True)
+    gamma, history, last = reconstruct.step_size_estimate(op)
     brio.save_power_iteration(path, history, last)
     return gamma, {"gamma_source": "power_iteration", "power_steps": len(history)}
 

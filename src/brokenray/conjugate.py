@@ -169,15 +169,14 @@ def caustic_curve(
     alpha_range=(0.0, TWO_PI),
     n_samples: int = 720,
     refine_dist: float | None = None,
-    max_depth: int = 10,
 ) -> CausticCurve:
     """Sample the caustic (conjugate-point locus) of a point source.
 
     Directions without an admissible reflection or without a conjugate
     point leave gaps.  When ``refine_dist`` is set, intervals whose
     endpoints are farther apart than that, and at least one of whose
-    endpoints lies inside the mirror, are bisected up to ``max_depth``
-    times, which resolves cusps.  Points outside the mirror are flagged
+    endpoints lies inside the mirror, are bisected up to ten times, which
+    resolves cusps.  Points outside the mirror are flagged
     ``outside_domain``; the curve counts in ``unrefined_outside`` the long
     intervals it left whole because both ends lie outside.
     """
@@ -199,7 +198,7 @@ def caustic_curve(
         # interval depth-first.
         lo_a, lo_q, lo_in = alphas[:-1], q[:-1], inside[:-1]
         hi_a, hi_q, hi_in = alphas[1:], q[1:], inside[1:]
-        for _ in range(max_depth):
+        for _ in range(10):
             far = np.linalg.norm(hi_q - lo_q, axis=1) > refine_dist
             split = far & (lo_in | hi_in)
             unrefined_outside += int(np.count_nonzero(far & ~split))

@@ -138,10 +138,6 @@ class Reflections:
         return self.boundary.tau_of_u(self.u)
 
     @property
-    def alpha2_raw(self) -> np.ndarray:
-        return self.line_out.alpha
-
-    @property
     def t_hit(self) -> np.ndarray:
         return self.line_in.coord_of(self.hit_point)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CenterOutsideWindow
 from .geometry import unit_vectors
-from .transforms import GridImage, _interior_support_mask
+from .transforms import _SUPPORT_MARGIN_PX, GridImage, _interior_support_mask
 
 # Modified Shepp-Logan ellipse table:
 # (intensity, semi_a, semi_b, x0, y0, rotation_degrees)
@@ -105,7 +105,8 @@ def place(spec: PhantomSpec, new_center=None, rotate_by: float = 0.0) -> Phantom
     return replace(spec, center=center, theta=spec.theta + rotate_by)
 
 
-def clip_to_boundary(img: GridImage, boundary, margin_px: float = 2.0) -> GridImage:
+def clip_to_boundary(img: GridImage, boundary,
+                     margin_px: float = _SUPPORT_MARGIN_PX) -> GridImage:
     """Zero the image within margin_px pixels of the reflecting boundary,
     satisfying the support precondition of the broken-ray transform."""
     keep = _interior_support_mask(boundary, img, margin_px)

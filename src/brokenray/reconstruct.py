@@ -9,13 +9,16 @@ applies the filter once per step (the split square root has the same fixed
 points and costs an extra FFT).  The data residual ``|Lambda^(1/2)(g - B f)|``
 is filtered from the same FFT of ``g - B f`` as the update, and is
 nonincreasing for step sizes below 2/|L^* L|; the default step is
-1/|L^* L| from a power iteration, half the stability bound.
+1/|L^* L| from a power iteration, half the stability bound.  A residual
+that grows three iterations in a row stops the run with DivergenceDetected.
 
-The power iteration can resume from the image its last step was applied
-to: one step from there repeats that step's estimate bit for bit on the
-same operator, code and arithmetic.  ``brokenray reconstruct`` stores that
-image in the experiment directory and replays the one step instead of the
-thirty; any other estimate sends it back to the full iteration.
+The power iteration always returns ``(gamma, history, last)``: the step,
+the eigenvalue estimate of every step, and the image its last step was
+applied to.  One step from ``last`` repeats that step's estimate bit for
+bit on the same operator, code and arithmetic.  ``brokenray reconstruct``
+stores ``last`` in the experiment directory and replays the one step
+instead of the thirty; any other estimate sends it back to the full
+iteration.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class LandweberConfig:
     n_iters: int = 100
     support_mask: np.ndarray | None = None
     record_every: int = 0  # 0: keep no intermediate snapshots
-    divergence_patience: int = 3
     use_filter: bool = True  # False: plain least squares (harness oracle)
 
 
@@ -62,19 +64,19 @@ class LandweberResult:
         return len(self.residuals)
 
 
-def step_size_estimate(op, n_steps: int = 30, seed: int = 0, return_history: bool = False,
-                       start: GridImage | None = None, return_last: bool = False):
-    """gamma = 1 / |B* Lambda B| estimated by power iteration.
+def step_size_estimate(op, n_steps: int = 30, start: GridImage | None = None):
+    """``(gamma, history, last)``: gamma = 1 / |B* Lambda B| estimated by
+    power iteration, the eigenvalue estimate of each step, and the image
+    the last step was applied to.
 
-    This is half the 2/|L* L| stability bound of the iteration.  The
-    iteration starts from a seeded random unit image, or from ``start`` as
-    it is.  With ``return_last`` it returns ``(gamma, history, x)``, where
-    x is the image the last step was applied to: ``start=x, n_steps=1``
-    repeats that step, and so its gamma, bit for bit.
+    gamma is half the 2/|L* L| stability bound of the iteration.  The
+    iteration starts from a random unit image (seed 0), or from ``start``
+    as it is: ``start=last, n_steps=1`` repeats the last step, and so its
+    gamma, bit for bit.
     """
     x = start
     if x is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         x = op.img_layout.copy_with(rng.standard_normal(op.img_layout.data.shape))
         x.data /= np.linalg.norm(x.data)
     history = []
@@ -86,21 +88,16 @@ def step_size_estimate(op, n_steps: int = 30, seed: int = 0, return_history: boo
             raise ZeroOperator("B* Lambda B maps the start vector to zero: no bin is admitted")
         history.append(lam)
         last, x = x, x.copy_with(y.data / np.linalg.norm(y.data))
-    gamma = 1.0 / lam
-    if return_last:
-        return gamma, history, last
-    if return_history:
-        return gamma, history
-    return gamma
+    return 1.0 / lam, history, last
 
 
 def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
     """Run the masked Landweber iteration from f = 0.
 
-    Raises DivergenceDetected when the filtered residual grows for
-    ``divergence_patience`` consecutive iterations.
+    Raises DivergenceDetected when the filtered residual grows for three
+    consecutive iterations.
     """
-    gamma = cfg.step_size if cfg.step_size is not None else step_size_estimate(op)
+    gamma = cfg.step_size if cfg.step_size is not None else step_size_estimate(op)[0]
     f = op.img_layout.layout_like()
     residuals = []
     snapshots = []
@@ -117,7 +114,7 @@ def landweber(g: Sinogram, op, cfg: LandweberConfig) -> LandweberResult:
         resid = math.sqrt(max(float(np.sum(half.data * half.data)) * lay.ds * lay.dalpha, 0.0))
         if residuals and resid > residuals[-1] * (1.0 + 1e-12):
             grow_streak += 1
-            if grow_streak >= cfg.divergence_patience:
+            if grow_streak >= 3:
                 raise DivergenceDetected(
                     f"residual grew {grow_streak} times in a row at iteration {k}; "
                     f"step size {gamma:.3g} is too large"

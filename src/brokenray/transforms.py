@@ -8,8 +8,9 @@ at (s, alpha) integrates the bilinear interpolant of the image along the
 directed line {x . w(alpha) = s} with step ``h`` and trapezoid weights.
 
 The stencils of every line form one sparse matrix, built once per
-geometry and cached (``_plan``).  Adjoints scatter through the identical
-stencils, scaled by ``ds * dalpha / dx^2``, so the weighted pairing
+geometry and cached with its transpose and quarter-turn tables in one
+record (``_plan``).  Adjoints scatter through the identical stencils,
+scaled by ``ds * dalpha / dx^2``, so the weighted pairing
 ``<A f, g> ds dalpha = <f, A* g> dx^2`` holds to rounding error.
 
 Every operator here has one shape, ``A f = R f + (R f) o chi`` for a map
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +46,8 @@ from .geometry import (
 )
 
 LAMBDA_SCALE = 1.0 / (4.0 * math.pi)
+# an image must vanish this many pixels from the mirror for the V-line data
+_SUPPORT_MARGIN_PX = 2.0
 
 
 @dataclass
@@ -147,8 +151,9 @@ class Sinogram:
         """True at valid (unmasked) bins."""
         return ~np.isnan(self.data)
 
-    def filled(self, value: float = 0.0) -> np.ndarray:
-        return np.where(self.mask, self.data, value)
+    def filled(self) -> np.ndarray:
+        """The data with every masked bin read as zero."""
+        return np.where(self.mask, self.data, 0.0)
 
     def copy_with(self, data: np.ndarray) -> "Sinogram":
         return Sinogram(data, self.s_max)
@@ -199,18 +204,35 @@ def _grid_coords(n: int, x_min: float, y_min: float, dx: float, layout: Sinogram
     return gx, gy, wt
 
 
-@functools.lru_cache(maxsize=2)
-def _plan(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout, h: float):
-    """The Radon transform of an n x n image as one read-only CSR matrix
-    ``A`` and a symmetry order ``q``.
+class _Plan(NamedTuple):
+    """The Radon transform of one geometry, every array read-only.
 
-    ``A`` has one row per (angle row m < n_alpha / q, offset k) and one
-    column per pixel of ``data.ravel()``; its weights are the bilinear
-    corner weights times the trapezoid weights along the line.  Corners
-    outside the image are dropped: the interpolant is zero there.  On a
-    window centred on the origin with ``n_alpha % 4 == 0`` a quarter turn
-    maps the grid onto itself, so ``R f(s, a + k pi/2) = R(rot90(f, k))(s, a)``
-    and the plan covers only the first quarter-turn of angles (q = 4);
+    ``matrix`` is a CSR matrix with one row per (angle row m < n_alpha / q,
+    offset k) and one column per pixel of ``data.ravel()``; its weights
+    are the bilinear corner weights times the trapezoid weights along the
+    line.  ``transpose`` is its transpose, which shares its arrays.  The
+    quarter-turn tables index the q turns of the image: ``data.ravel()[gather]``
+    is the (n*n, q) stack whose column k is ``rot90(data, k).ravel()``; for
+    an (n*n, q) array ``back``, ``back.ravel()[scatter]`` is the (q, n*n)
+    stack whose row k is ``rot90(back[:, k].reshape(n, n), -k).ravel()``.
+    """
+
+    matrix: sp.csr_matrix
+    transpose: sp.csc_matrix
+    q: int
+    gather: np.ndarray
+    scatter: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)
+def _plan(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout,
+          h: float) -> _Plan:
+    """The Radon transform of an n x n image as one read-only plan.
+
+    Corners outside the image are dropped: the interpolant is zero there.
+    On a window centred on the origin with ``n_alpha % 4 == 0`` a quarter
+    turn maps the grid onto itself, so ``R f(s, a + k pi/2) = R(rot90(f, k))(s, a)``
+    and the matrix covers only the first quarter-turn of angles (q = 4);
     otherwise it covers every angle (q = 1).
     """
     centred = all(math.isclose(c, -n * dx / 2.0, rel_tol=1e-12) for c in (x_min, y_min))
@@ -262,38 +284,16 @@ def _plan(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout,
     indptr = np.concatenate([[0], np.cumsum(counts)])
     A = sp.csr_matrix((data, indices, indptr), shape=(counts.size, n * n))
     A.has_canonical_format = True
-    for arr in (A.data, A.indices, A.indptr):
+    pixels = np.arange(n * n).reshape(n, n)
+    gather = np.stack([np.rot90(pixels, k).ravel() for k in range(q)], axis=1)
+    scatter = np.stack([np.rot90(pixels, -k).ravel() * q + k for k in range(q)])
+    for arr in (A.data, A.indices, A.indptr, gather, scatter):
         arr.flags.writeable = False
-    return A, q
-
-
-@functools.lru_cache(maxsize=2)
-def _plan_transpose(n: int, x_min: float, y_min: float, dx: float, layout: SinogramLayout,
-                    h: float):
-    """``_plan``'s matrix transposed, which shares its arrays, and its q;
-    kept, so that an adjoint does not build the transpose on every call."""
-    A, q = _plan(n, x_min, y_min, dx, layout, h)
-    return A.T, q
+    return _Plan(A, A.T, q, gather, scatter)
 
 
 def _plan_key(img: GridImage, layout: SinogramLayout, h: float | None) -> tuple:
     return img.n, img.x_min, img.y_min, img.dx, layout, _line_step(h, img.dx)
-
-
-@functools.lru_cache(maxsize=2)
-def _quarter_turns(n: int, q: int):
-    """Index tables of the q quarter turns of an n x n image.
-
-    ``data.ravel()[gather]`` is the (n*n, q) stack whose column k is
-    ``rot90(data, k).ravel()``; for an (n*n, q) array ``back``,
-    ``back.ravel()[scatter]`` is the (q, n*n) stack whose row k is
-    ``rot90(back[:, k].reshape(n, n), -k).ravel()``.
-    """
-    pixels = np.arange(n * n).reshape(n, n)
-    gather = np.stack([np.rot90(pixels, k).ravel() for k in range(q)], axis=1)
-    scatter = np.stack([np.rot90(pixels, -k).ravel() * q + k for k in range(q)])
-    gather.flags.writeable = scatter.flags.writeable = False
-    return gather, scatter
 
 
 def radon(f: GridImage, layout: SinogramLayout, h: float | None = None) -> Sinogram:
@@ -303,10 +303,9 @@ def radon(f: GridImage, layout: SinogramLayout, h: float | None = None) -> Sinog
     """
     if not np.all(np.isfinite(f.data)):
         raise ValueError("image contains non-finite samples")
-    A, q = _plan(*_plan_key(f, layout, h))
-    turns = f.data.ravel()[_quarter_turns(f.n, q)[0]]
+    plan = _plan(*_plan_key(f, layout, h))
     # column k of the product holds the angle rows from k n_alpha / q on
-    out = (A @ turns).T.reshape(layout.n_alpha, layout.n_s)
+    out = (plan.matrix @ f.data.ravel()[plan.gather]).T.reshape(layout.n_alpha, layout.n_s)
     return Sinogram(out, layout.s_max)
 
 
@@ -318,11 +317,11 @@ def radon_adjoint(g: Sinogram, img_layout: GridImage, h: float | None = None) ->
     products ``image_inner``/``sino_inner``.
     """
     layout = g.layout
-    AT, q = _plan_transpose(*_plan_key(img_layout, layout, h))
+    plan = _plan(*_plan_key(img_layout, layout, h))
     n = img_layout.n
-    back = AT @ np.ascontiguousarray(g.filled().reshape(q, -1).T)
+    back = plan.transpose @ np.ascontiguousarray(g.filled().reshape(plan.q, -1).T)
     # sum adds the turns to 0 one by one, in order
-    acc = sum(back.ravel()[_quarter_turns(n, q)[1]]).reshape(n, n)
+    acc = sum(back.ravel()[plan.scatter]).reshape(n, n)
     scale = layout.ds * layout.dalpha / img_layout.dx**2
     return img_layout.copy_with(acc * scale)
 
@@ -558,7 +557,6 @@ class BrokenRayOperator(RadonOperator):
         img_layout: GridImage,
         sino_layout: SinogramLayout,
         h: float | None = None,
-        support_margin_px: float = 2.0,
     ):
         super().__init__(img_layout, sino_layout, h)
         self.boundary = boundary
@@ -568,7 +566,7 @@ class BrokenRayOperator(RadonOperator):
         rows = _lerp((a2 % TWO_PI) / lay.dalpha, lay.n_alpha, periodic=True)
         cols = _lerp((s2 + lay.s_max) / lay.ds - 0.5, lay.n_s)
         self.corners = [(ra, ks, wa * ws) for ra, wa in rows for ks, ws in cols]
-        self._support_ok = _interior_support_mask(boundary, self.img_layout, support_margin_px)
+        self._support_ok = _interior_support_mask(boundary, self.img_layout, _SUPPORT_MARGIN_PX)
 
 
 class ParallelRayOperator(RadonOperator):

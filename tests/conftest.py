@@ -532,7 +532,8 @@ def loop_radon_adjoint(g, img, h):
 def rot90_radon(f, layout, h):
     """Sinogram data of ``transforms.radon(f, layout, h)`` from a stack of
     np.rot90 turns."""
-    A, q = transforms._plan(*transforms._plan_key(f, layout, h))
+    plan = transforms._plan(*transforms._plan_key(f, layout, h))
+    A, q = plan.matrix, plan.q
     turns = np.stack([np.rot90(f.data, k).ravel() for k in range(q)], axis=1)
     return (A @ turns).T.reshape(layout.n_alpha, layout.n_s)
 
@@ -541,7 +542,8 @@ def rot90_radon_adjoint(g, img, h):
     """Image data of ``transforms.radon_adjoint(g, img, h)``, each turn
     rotated back by np.rot90 and the turns summed in order."""
     layout = g.layout
-    A, q = transforms._plan(*transforms._plan_key(img, layout, h))
+    plan = transforms._plan(*transforms._plan_key(img, layout, h))
+    A, q = plan.matrix, plan.q
     n = img.n
     back = A.T @ np.ascontiguousarray(g.filled().reshape(q, -1).T)
     acc = sum(np.rot90(back[:, k].reshape(n, n), -k) for k in range(q))

@@ -77,7 +77,7 @@ def disk128():
     img_lay = GridImage.zeros(128)
     sino_lay = SinogramLayout(128, 360, 1.0)
     op = BrokenRayOperator(Circle(1.0), Family.full(), img_lay, sino_lay)
-    gamma = step_size_estimate(op, n_steps=30)
+    gamma, _, _ = step_size_estimate(op, n_steps=30)
     return op, gamma
 
 
@@ -262,7 +262,7 @@ def test_ac6_local_data_cancellation():
     spec = PhantomSpec.coherent(tuple(x1), theta, sigma=sigma, wavenumber=80.0)
     f = clip_to_boundary(render(spec, img_lay), circle)
     g = op.forward(f)
-    res = landweber(g, op, LandweberConfig(step_size=step_size_estimate(op), n_iters=100))
+    res = landweber(g, op, LandweberConfig(step_size=step_size_estimate(op)[0], n_iters=100))
     rec = res.final
     X, Y = img_lay.meshgrid()
     energy = rec.data**2

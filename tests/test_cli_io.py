@@ -495,6 +495,20 @@ class TestCommands:
         radii = (out / "polygon_radii.csv").read_text().splitlines()
         assert any(line.startswith("0.7071") for line in radii)
 
+    def test_parallel_family_has_no_mirror_to_predict(self, tmp_path):
+        # the parallel-ray transform has no mirror, even where the absent
+        # [boundary] section defaults to the unit circle
+        text = SMALL_CONFIG.replace("[boundary]\nkind = circle\nradius = 1.0\n", "")
+        text = text.replace("kind = full", "kind = parallel\noffset = 0.6")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["polygon_radii.csv"]
+        assert ExperimentConfig.from_string(text).boundary() is None
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_string(text + "[boundary]\nradius = -1\n")
+
     def test_source_outside_circular_mirror(self, tmp_path):
         # a centre inside the window but outside the mirror is a valid
         # experiment; it has a caustic but no chain or tangent locus

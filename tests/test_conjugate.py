@@ -111,7 +111,7 @@ class TestConjugatePoint:
         for boundary in (circle, generic_curve):
             for line, p, event in random_admissible_events(boundary, rng, 20):
                 da2, ds2 = source_derivatives(p, event)
-                v2 = unit_vectors(event.alpha2_raw)[0]
+                v2 = unit_vectors(event.line_out.alpha)[0]
                 dq0_w2 = ds2 + float(np.dot(event.hit_point, v2)) * da2
                 t1 = event.t_hit - line.coord_of(p)
                 assert dq0_w2 == pytest.approx(-t1, rel=1e-9)

@@ -265,7 +265,7 @@ class TestReflect:
         assert rays.ok.shape == ()
         for got, want in ((rays.tau0, event.tau0), (rays.beta, event.beta),
                           (rays.line_out.s, event.line_out.s),
-                          (rays.alpha2_raw, event.alpha2_raw),
+                          (rays.line_out.alpha, event.alpha2_raw),
                           (rays.hit_point, event.hit_point), (rays.jacobian, event.jacobian),
                           (conjugate_point(p, rays), conjugate_point(p, event))):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)

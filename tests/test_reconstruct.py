@@ -104,7 +104,7 @@ class TestLandweber:
         op = small_radon_op()
         f = render(PhantomSpec.gaussian((0.2, 0.1), 0.12), op.img_layout)
         g = op.forward(f)
-        gamma = 50.0 * step_size_estimate(op)
+        gamma = 50.0 * step_size_estimate(op)[0]
         with pytest.raises(DivergenceDetected):
             landweber(g, op, LandweberConfig(step_size=gamma, n_iters=40))
 
@@ -140,7 +140,7 @@ class TestLandweber:
         op = BrokenRayOperator(Circle(1.0), Family.half_plane_incoming(0.3),
                                GridImage.zeros(32), SinogramLayout(32, 40, 1.0))
         g = op.forward(render(PhantomSpec.gaussian((0.2, -0.1), 0.1), op.img_layout))
-        gamma = step_size_estimate(op)
+        gamma, _, _ = step_size_estimate(op)
         X, Y = op.img_layout.meshgrid()
         mask = (np.hypot(X, Y) < 0.8).astype(float)
         f, firsts, residuals = op.img_layout.layout_like(), [], []
@@ -160,26 +160,25 @@ class TestLandweber:
 
 class TestStepSize:
     def test_positive_finite(self):
-        gamma = step_size_estimate(small_radon_op())
+        gamma, _, _ = step_size_estimate(small_radon_op())
         assert gamma > 0.0 and math.isfinite(gamma)
 
     def test_power_iteration_converged(self):
-        _, hist = step_size_estimate(small_radon_op(), return_history=True)
+        _, hist, _ = step_size_estimate(small_radon_op())
         tail = hist[-5:]
         assert (max(tail) - min(tail)) / max(tail) < 0.01
 
     def test_scaling(self):
         base = small_radon_op()
-        g1 = step_size_estimate(base)
-        g2 = step_size_estimate(ScaledOp(base, 3.0))
+        g1, _, _ = step_size_estimate(base)
+        g2, _, _ = step_size_estimate(ScaledOp(base, 3.0))
         assert g2 == pytest.approx(g1 / 9.0, rel=1e-6)
 
     def test_one_step_from_the_last_iterate_repeats_gamma(self):
         op = small_radon_op()
-        gamma, history, last = step_size_estimate(op, return_last=True)
-        assert (gamma, history) == step_size_estimate(op, return_history=True)
-        assert step_size_estimate(op, n_steps=1, start=last, return_history=True) == (
-            gamma, history[-1:])
+        gamma, history, last = step_size_estimate(op)
+        assert (gamma, history) == step_size_estimate(op)[:2]
+        assert step_size_estimate(op, n_steps=1, start=last)[:2] == (gamma, history[-1:])
 
 
 class TestErrorMetrics:

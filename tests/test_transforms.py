@@ -212,12 +212,25 @@ class TestRadonPlan:
         radon(f, SinogramLayout(24, 20, 1.0))
         assert transforms._plan.cache_info().misses == 4
 
+    def test_radon_pair_costs_one_cache_miss(self):
+        # the pair reads one record: its matrix, transpose and quarter-turn
+        # tables come from the one lookup that builds them
+        caches = [c for c in vars(transforms).values() if hasattr(c, "cache_clear")]
+        for cache in caches:
+            cache.cache_clear()
+        f = random_image(32, np.random.default_rng(15))
+        lay = SinogramLayout(24, 16, 1.0)
+        radon_adjoint(radon(f, lay), f)
+        assert sum(c.cache_info().misses for c in caches) == 1
+        assert transforms._plan.cache_info().hits == 1
+
     def test_cached_plan_is_read_only(self):
         f = random_image(32, np.random.default_rng(13))
         lay = SinogramLayout(24, 16, 1.0)
-        A, q = transforms._plan(f.n, f.x_min, f.y_min, f.dx, lay, f.dx / 2.0)
+        plan = transforms._plan(f.n, f.x_min, f.y_min, f.dx, lay, f.dx / 2.0)
+        A, q = plan.matrix, plan.q
         assert q == 4 and A.shape == (24 * 16 // 4, 32 * 32)
-        for arr in (A.data, A.indices, A.indptr):
+        for arr in (A.data, A.indices, A.indptr, plan.gather, plan.scatter):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -560,7 +573,7 @@ class TestOneOperator:
         }[case](f)
         assert "_stencils" not in vars(op)  # derived on the first apply, not built
         lay = op.sino_layout
-        assert transforms._plan(*transforms._plan_key(f, lay, op.h))[1] == (
+        assert transforms._plan(*transforms._plan_key(f, lay, op.h)).q == (
             1 if case in ("disk_q1", "disk_off_centre") else 4)
         g = random_sino(lay, rng)
         g.data[rng.random(g.data.shape) < 0.1] = np.nan
